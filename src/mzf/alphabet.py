@@ -75,25 +75,34 @@ def quantize_even_int(v):
     return out if np.ndim(v) else int(out)
 
 
-def bits_to_symbol(u) -> int:
-    """Map +-1 bits (index 0 is the weight-1 layer) to an odd PAM point."""
+def bits_to_symbol(u):
+    """Map +-1 bits to odd PAM points; the bits run along the last axis,
+    index 0 being the weight-1 layer.
+
+    One bit vector gives an int, a stack of them an int64 array of the
+    leading shape.
+    """
     u = np.asarray(u, dtype=np.int64)
-    if u.ndim != 1 or not np.all(np.abs(u) == 1):
-        raise ValueError("bit vector must be one-dimensional with +-1 entries")
-    weights = 2 ** np.arange(u.size, dtype=np.int64)
-    return int(u @ weights)
+    if u.ndim < 1 or not np.all(np.abs(u) == 1):
+        raise ValueError("bits must have +-1 entries along a last axis")
+    out = u @ 2 ** np.arange(u.shape[-1], dtype=np.int64)
+    return int(out) if u.ndim == 1 else out
 
 
-def symbol_to_bits(x: int, nbits: int) -> np.ndarray:
-    """Invert bits_to_symbol; x must be odd with |x| <= 2**nbits - 1."""
-    x = int(x)
-    if x % 2 == 0 or abs(x) > 2**nbits - 1:
-        raise ValueError(f"symbol {x} is not an odd point of the {nbits}-bit alphabet")
-    u = np.empty(nbits, dtype=np.int64)
-    res = x
-    for b in range(nbits - 1, -1, -1):
-        u[b] = 1 if res > 0 else -1
-        res -= u[b] * 2**b
+def symbol_to_bits(x, nbits: int) -> np.ndarray:
+    """Invert bits_to_symbol: the +-1 bits of each odd point x, with
+    |x| <= 2**nbits - 1, along a new last axis of length nbits.
+
+    Bit j is 2 b_j - 1 with b_j = ((x + 2**nbits - 1) / 2 >> j) & 1.
+    """
+    x = np.asarray(x)
+    half = (x.astype(np.int64) + 2**nbits - 1) // 2
+    u = 2 * (half[..., None] >> np.arange(nbits) & 1) - 1
+    # an even, fractional or out-of-range x does not map back from its bits
+    back = u @ 2 ** np.arange(nbits, dtype=np.int64)
+    if not np.array_equal(back, x):
+        bad = x[back != x].flat[0]
+        raise ValueError(f"symbol {bad} is not an odd point of the {nbits}-bit alphabet")
     return u
 
 

@@ -2,11 +2,11 @@
 
 fit() performs the per-coherence-interval preprocessing (equalizer
 matrices, lattice reduction, per-layer even-integer searches) and predict()
-detects individual channel observations, so one fitted detector serves every
-observation drawn while the channel stays constant.  All detectors share
-sklearn-style conventions: constructor arguments are stored verbatim,
-get_params/set_params expose them, and fitted state carries a trailing
-underscore.
+detects channel observations, one vector or an n_obs x N block at a time,
+so one fitted detector serves every observation drawn while the channel
+stays constant.  All detectors share sklearn-style conventions: constructor
+arguments are stored verbatim, get_params/set_params expose them, and
+fitted state carries a trailing underscore.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .channel import (
     pseudo_inverse,
 )
 from .intsearch import IlsProblem, lll_reduce, solve_brute, solve_lll, solve_sd
-from .modarith import ParityContext, branch_parity, mod_recover
+from .modarith import ParityContext, branch_parity, mod_recover_each
 
 MZF_VARIANTS = ("plain", "scaled-alpha", "bitwise", "feedback")
 SOLVERS = ("sd", "lll", "brute")
@@ -65,6 +65,7 @@ class PerturbationPlan:
     parity: ParityContext
     cost: float
     exact: bool
+    nodes: int = 0  # search nodes the solver visited (0 for solver="lll")
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,8 @@ def _coerce_real_channel(channel) -> np.ndarray:
 
 class MimoDetector:
     """Base class wiring the estimator conventions; subclasses implement
-    _fit(h, n0) and _detect_one(y)."""
+    _fit(h, n0) and _detect_one(y), and may override _block(y) to detect a
+    whole block at once."""
 
     @classmethod
     def _param_names(cls) -> list[str]:
@@ -163,34 +165,52 @@ class MimoDetector:
         if not hasattr(self, "h_"):
             raise RuntimeError(f"{type(self).__name__} must be fitted before detecting")
 
+    def _checked(self, y) -> np.ndarray:
+        """y as a float observation vector or n_obs x N block; raises on a
+        wrong length or a non-finite entry."""
+        self._check_fitted()
+        y = np.asarray(y, dtype=float)
+        if y.ndim not in (1, 2):
+            raise ValueError(
+                f"observations must be a vector or an n_obs x N block, got shape {y.shape}"
+            )
+        if y.shape[-1] != self.h_.shape[0]:
+            raise ValueError(f"observation length {y.shape[-1]} != {self.h_.shape[0]}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("observations must be finite")
+        return y
+
     def detect(self, y) -> DetectionResult:
         """Full detection record for a single observation vector."""
-        self._check_fitted()
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if y.size != self.h_.shape[0]:
-            raise ValueError(f"observation length {y.size} != {self.h_.shape[0]}")
-        return self._detect_one(y)
+        return self._detect_one(self._checked(np.asarray(y).reshape(-1)))
 
     def predict(self, y) -> np.ndarray:
-        """Detected symbols; accepts a single observation or a stack of rows."""
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            return self.detect(y).symbols
-        return np.stack([self.detect(row).symbols for row in y])
+        """Detected symbols of one observation (K) or of each row of an
+        n_obs x N block (n_obs x K)."""
+        return self._predicted(y, 0)
 
     def predict_bits(self, y) -> np.ndarray:
         """Detected +-1 bits, shaped like predict() with a trailing nbits axis."""
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            return self.detect(y).bits
-        return np.stack([self.detect(row).bits for row in y])
+        return self._predicted(y, 1)
+
+    def _predicted(self, y, part: int) -> np.ndarray:
+        y = self._checked(y)
+        out = self._block(np.atleast_2d(y))[part]
+        return out if y.ndim == 2 else out[0]
+
+    def _block(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Symbols, +-1 bits and layer_z of every row of a checked block."""
+        results = [self._detect_one(row) for row in y]
+        return (
+            np.stack([r.symbols for r in results]),
+            np.stack([r.bits for r in results]),
+            np.stack([r.layer_z for r in results]),
+        )
 
     def _result_from_symbols(self, symbols, layer_z) -> DetectionResult:
-        nbits = self.alphabet_.nbits
-        bits = np.stack([symbol_to_bits(int(s), nbits) for s in symbols])
         return DetectionResult(
             symbols=np.asarray(symbols, dtype=float),
-            bits=bits,
+            bits=symbol_to_bits(symbols, self.alphabet_.nbits),
             layer_z=np.asarray(layer_z, dtype=float),
         )
 
@@ -310,6 +330,12 @@ class MZFDetector(MimoDetector):
     instead of the derived parity rule.  noise_weighting picks the noise
     block weight of the residual matrix: "printed" uses n0, "physical"
     the amplitude-correct sqrt(n0 / 2).
+
+    Besides the per-layer plans_, fit stacks what detection reads into
+    arrays over (stage, layer), a stage being one bit layer of the bitwise
+    variant and the only one otherwise: the combining rows comb_
+    (stages x K x N), the fold scales alpha_, the degenerate_ mask and
+    parity_, True where a plan's half_q_sum is odd.
     """
 
     def __init__(
@@ -379,6 +405,15 @@ class MZFDetector(MimoDetector):
             plans.append(per_layer)
         self.plans_ = plans
 
+        def stacked(field):
+            # stages x K array of one plan field
+            return np.array([[field(p) for p in stage] for stage in zip(*plans)])
+
+        self.comb_ = stacked(lambda p: p.combining_row)
+        self.alpha_ = stacked(lambda p: p.alpha)
+        self.degenerate_ = stacked(lambda p: p.degenerate)
+        self.parity_ = stacked(lambda p: p.parity.half_q_sum % 2 == 1)
+
     def _plan_layer(self, layer, bit_layer, tau, effective, basis) -> PerturbationPlan:
         problem = IlsProblem(tau * effective[layer], basis)
         if self.solver == "sd":
@@ -406,6 +441,7 @@ class MZFDetector(MimoDetector):
                 parity=ParityContext(0, bit_layer, nlayers),
                 cost=problem.cost(q),
                 exact=sol.exact,
+                nodes=sol.nodes_visited,
             )
         alpha = 1.0
         if self.variant == "scaled-alpha":
@@ -424,75 +460,65 @@ class MZFDetector(MimoDetector):
             parity=ParityContext(int(q.sum()) // 2, bit_layer, nlayers),
             cost=float(cost_row @ cost_row),
             exact=sol.exact,
+            nodes=sol.nodes_visited,
         )
 
-    def _fold(self, r, plan: PerturbationPlan, stage: int | None = None):
-        """Modulus recovery with the configured branch rule."""
-        if self.parity == "paper-literal":
-            return mod_recover(r, plan.alpha, True)
-        ctx = plan.parity
-        if stage is not None:
-            ctx = ParityContext(ctx.half_q_sum, stage, self.alphabet_.nbits)
-        return mod_recover(r, plan.alpha, branch_parity(ctx))
-
     def _detect_one(self, y):
-        if self.variant == "bitwise":
-            return self._detect_bitwise(y)
-        if self.variant == "feedback":
-            return self._detect_feedback(y)
-        return self._detect_symbolwise(y)
+        symbols, bits, z = self._block(y[None, :])
+        return DetectionResult(symbols=symbols[0], bits=bits[0], layer_z=z[0])
 
-    def _detect_symbolwise(self, y):
+    def _block(self, y):
+        """Detect every row of an n_obs x N block at once.
+
+        Layers are never looped over; only the feedback variant steps
+        through its bit stages in sequence.  Every value is rounded as in
+        row-at-a-time detection (see _combine), so a block and its rows one
+        by one give identical bytes.
+        """
         alphabet = self.alphabet_
-        tau = alphabet.tau
-        z = np.empty(self.k_)
-        symbols = np.empty(self.k_)
-        for k in range(self.k_):
-            plan = self.plans_[k][0]
-            if plan.degenerate:
-                z[k] = plan.zf_row @ y
+        nbits = alphabet.nbits
+        if self.variant in ("plain", "scaled-alpha"):
+            z = self._stage(y, 0, 0, self.degenerate_[0])
+            tau = alphabet.tau
+            symbols = np.rint(quantize_pam(z, alphabet, scale=tau) / tau)
+            return symbols, symbol_to_bits(symbols, nbits), z
+        literal = self.parity == "paper-literal"
+        z = np.empty((y.shape[0], self.k_, nbits))
+        for j in range(nbits):
+            n = j + 1
+            if self.variant == "bitwise":
+                # one plan stage per bit layer; only a degenerate top stage
+                # skips the fold
+                z[:, :, j] = self._stage(y, j, n, self.degenerate_[j] & (n == nbits))
             else:
-                z[k] = self._fold(plan.combining_row @ y, plan)
-            symbols[k] = round(quantize_pam(z[k], alphabet, scale=tau) / tau)
-        return self._result_from_symbols(symbols, z)
+                # feedback: one tau = 1 stage serves every bit layer; stripped
+                # of its own perturbation a degenerate layer still has
+                # undetected higher bits to fold away, except at the top or
+                # under the paper-literal branch rule
+                bypass = self.degenerate_[0] & (literal or n == nbits)
+                z[:, :, j] = self._stage(y, 0, n, bypass)
+                # subtract the decided bits, one matrix-vector product per row
+                b = np.where(z[:, :, j] >= 0, 1.0, -1.0)
+                y = (y - np.matmul(self.h_, b[..., None])[..., 0]) / 2.0
+        bits = np.where(z >= 0, 1, -1)
+        return bits_to_symbol(bits).astype(float), bits, z
 
-    def _detect_bitwise(self, y):
-        alphabet = self.alphabet_
-        nbits = alphabet.nbits
-        z = np.empty((self.k_, nbits))
-        bits = np.empty((self.k_, nbits), dtype=np.int64)
-        for k in range(self.k_):
-            top_degenerate = self.plans_[k][nbits - 1].degenerate
-            for j in range(nbits):
-                plan = self.plans_[k][j]
-                n = plan.bit_layer
-                if n == nbits and top_degenerate:
-                    z[k, j] = plan.zf_row @ y
-                else:
-                    z[k, j] = self._fold(plan.combining_row @ y, plan)
-                bits[k, j] = 1 if z[k, j] >= 0 else -1
-        symbols = np.array([bits_to_symbol(bits[k]) for k in range(self.k_)], dtype=float)
-        return DetectionResult(symbols=symbols, bits=bits, layer_z=z)
+    def _stage(self, y, s, n, bypass):
+        """layer_z of one stage: combine y with the rows of plan stage s and
+        fold every layer not bypassed, on the branch of bit layer n (0 for
+        symbol-wise detection)."""
+        r = _combine(y, self.comb_[s])
+        if self.parity == "paper-literal":
+            odd = True
+        else:
+            flip = branch_parity(ParityContext(0, n, self.alphabet_.nbits))
+            odd = self.parity_[s] ^ flip
+        return np.where(bypass, r, mod_recover_each(r, self.alpha_[s], odd))
 
-    def _detect_feedback(self, y):
-        alphabet = self.alphabet_
-        nbits = alphabet.nbits
-        z = np.empty((self.k_, nbits))
-        bits = np.empty((self.k_, nbits), dtype=np.int64)
-        yhat = y.astype(float).copy()
-        for n in range(1, nbits + 1):
-            for k in range(self.k_):
-                plan = self.plans_[k][0]
-                if plan.degenerate:
-                    if self.parity == "paper-literal" or n == nbits:
-                        z[k, n - 1] = plan.zf_row @ yhat
-                    else:
-                        # stripped of its own perturbation the layer still has
-                        # undetected higher bits to fold away
-                        z[k, n - 1] = self._fold(plan.zf_row @ yhat, plan, stage=n)
-                else:
-                    z[k, n - 1] = self._fold(plan.combining_row @ yhat, plan, stage=n)
-                bits[k, n - 1] = 1 if z[k, n - 1] >= 0 else -1
-            yhat = (yhat - self.h_ @ bits[:, n - 1].astype(float)) / 2.0
-        symbols = np.array([bits_to_symbol(bits[k]) for k in range(self.k_)], dtype=float)
-        return DetectionResult(symbols=symbols, bits=bits, layer_z=z)
+
+def _combine(y, rows):
+    """y @ rows.T for an n_obs x N block and K x N rows, as one inner product
+    per (observation, row), each the same dot product as row @ y.  A plain
+    matrix product would run GEMM, whose summation order moves results by an
+    ulp from the single-observation ones."""
+    return np.matmul(y[:, None, None, :], rows[None, :, :, None])[..., 0, 0]

@@ -2,14 +2,17 @@
 
 Given y = z + alpha * sum_m p_m * b_m with |z| < 2 (scaled by alpha), every
 p_m even and every b_m odd, z is recovered exactly by a mod-4*alpha fold
-whose branch depends on the parity of (1/2) * sum_m p_m.  The functions here
-are numeric-type agnostic: floats, numpy arrays and fractions.Fraction all
-work, which lets golden tests run in exact rational arithmetic.
+whose branch depends on the parity of (1/2) * sum_m p_m.  mod_recover and
+recover_z are numeric-type agnostic: floats, numpy arrays and
+fractions.Fraction all work, which lets golden tests run in exact rational
+arithmetic.  mod_recover_each is the array form with one branch per element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,15 @@ def mod_recover(y, alpha=1, parity_odd: bool = True):
     if parity_odd:
         return (y % period) - half
     return ((y + half) % period) - half
+
+
+def mod_recover_each(y, alpha, parity_odd):
+    """mod_recover over arrays with a branch per element: alpha and
+    parity_odd broadcast against y.  Each element is folded exactly as a
+    scalar mod_recover call on its own branch would fold it."""
+    return np.where(
+        parity_odd, mod_recover(y, alpha, True), mod_recover(y, alpha, False)
+    )
 
 
 def branch_parity(ctx: ParityContext) -> bool:

@@ -194,10 +194,7 @@ def _run_trials(cfg: SimConfig, trial_indices) -> tuple[dict, np.ndarray, int]:
             x = random_symbols(rng, alphabet, k)
             noise = rng.standard_normal(h.shape[0])
             draws.append((x, noise))
-        truths = [
-            (x, np.stack([symbol_to_bits(int(s), alphabet.nbits) for s in x]))
-            for x, _ in draws
-        ]
+        truths = [(x, symbol_to_bits(x, alphabet.nbits)) for x, _ in draws]
 
         for d_idx, spec in enumerate(specs):
             det = build_detector(spec, cfg)
@@ -232,7 +229,11 @@ def _worker_count(cfg: SimConfig) -> int:
     cap = os.environ.get("MZF_THREADS")
     workers = cfg.workers
     if cap:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            limit = int(cap)
+        except ValueError:
+            raise ValueError(f"MZF_THREADS must be an integer, got {cap!r}") from None
+        workers = min(workers, max(1, limit))
     return min(workers, cfg.trials)
 
 

@@ -1,11 +1,21 @@
 """Detector suite tests: estimator conventions, preprocessing, detection."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from mzf.alphabet import make_alphabet, random_symbols, symbol_to_bits
-from mzf.channel import generate_channel, generate_real_channel, pseudo_inverse
+from mzf.channel import (
+    embed_complex,
+    generate_channel,
+    generate_real_channel,
+    pseudo_inverse,
+)
 from mzf.detect import (
+    EQUALIZERS,
+    MZF_VARIANTS,
+    PARITY_MODES,
     LARDetector,
     LMMSEDetector,
     MLDetector,
@@ -14,7 +24,7 @@ from mzf.detect import (
     is_degenerate,
     optimize_alpha,
 )
-from mzf.metrics import detector_gains
+from mzf.metrics import detector_gains, snr_to_n0
 
 H_REF = np.array(
     [[-6, 0, -1, 5], [-3, -2, -1, 1], [1, -5, -6, 0], [1, -1, -3, -2]], dtype=float
@@ -79,6 +89,27 @@ class TestEstimatorConventions:
         with pytest.raises(ValueError):
             det.detect(np.zeros(3))
 
+    @pytest.mark.parametrize("det", [ZFDetector(16), MZFDetector(16, variant="feedback")])
+    def test_rejects_block_of_wrong_width(self, det):
+        det.fit(H_REF)
+        for call in (det.predict, det.predict_bits):
+            with pytest.raises(ValueError, match="observation length 3 != 4"):
+                call(np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("det", [ZFDetector(16), MZFDetector(16, variant="bitwise")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_observations(self, det, bad):
+        det.fit(H_REF)
+        y = np.array([3.0, 1.0, bad, 11.0])
+        for call, arg in (
+            (det.detect, y),
+            (det.predict, y),
+            (det.predict, np.stack([Y_REF, y])),
+            (det.predict_bits, np.stack([Y_REF, y])),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                call(arg)
+
     def test_complex_channel_is_embedded(self):
         cc = generate_channel(np.random.default_rng(0), 2)
         det = ZFDetector().fit(cc)
@@ -132,6 +163,26 @@ class TestPreprocess:
         det = MZFDetector(modulation=64, variant="feedback").fit(H_REF)
         assert [len(det.plans_[k]) for k in range(4)] == [1, 1, 1, 1]
         assert det.plans_[0][0].tau == 1.0
+
+    def test_fitted_arrays_stack_the_plans(self):
+        det = MZFDetector(modulation=64, variant="bitwise").fit(H_REF)
+        assert det.comb_.shape == (3, 4, 4)
+        for k in range(4):
+            for s, plan in enumerate(det.plans_[k]):
+                assert np.array_equal(det.comb_[s, k], plan.combining_row)
+                assert det.alpha_[s, k] == plan.alpha
+                assert det.degenerate_[s, k] == plan.degenerate
+                assert det.parity_[s, k] == (plan.parity.half_q_sum % 2 == 1)
+
+    def test_plans_carry_search_nodes(self):
+        rng = np.random.default_rng(26)
+        for _ in range(5):
+            h = generate_real_channel(rng, 6)
+            for variant in ("plain", "bitwise"):
+                sd = MZFDetector(modulation=16, variant=variant).fit(h)
+                assert all(p.nodes > 0 for row in sd.plans_ for p in row)
+                lll = MZFDetector(modulation=16, variant=variant, solver="lll").fit(h)
+                assert all(p.nodes == 0 for row in lll.plans_ for p in row)
 
 
 class TestZF:
@@ -442,3 +493,57 @@ class TestParityModes:
             assert z_derived != z_literal
             return
         pytest.fail("no even-parity plan found in 200 channels")
+
+
+def _identity_grid():
+    """(fitted detector, block) pairs: every variant, parity mode and
+    equalizer at M = 4, 16, 64 on one kc = 3 channel and one real K = 16
+    channel; rows at 10, 20 and 30 dB, the first NOISELESS rows noiseless."""
+    rows, noiseless, snrs = 24, 6, (10.0, 20.0, 30.0)
+    rng = np.random.default_rng(31)
+    for h in (embed_complex(generate_channel(rng, 3)), generate_real_channel(rng, 16)):
+        k = h.shape[1]
+        for m in (4, 16, 64):
+            alphabet = make_alphabet(m)
+            x = alphabet.points[rng.integers(0, alphabet.sqrt_m, size=(rows, k))]
+            n0s = [snr_to_n0(s, alphabet).n0 for s in snrs]
+            sigma = np.repeat(np.sqrt(np.array(n0s) / 2.0), rows // len(snrs))
+            sigma[:noiseless] = 0.0
+            noise = sigma[:, None] * rng.standard_normal((rows, h.shape[0]))
+            y = x.astype(float) @ h.T + noise
+            for variant in MZF_VARIANTS:
+                for parity in PARITY_MODES:
+                    for equalizer in EQUALIZERS:
+                        det = MZFDetector(m, variant, equalizer=equalizer, parity=parity)
+                        yield det.fit(h, n0=n0s[1]), y
+
+
+class TestBlockDetection:
+    # sha256 of the outputs on _identity_grid, made with the per-layer
+    # detection loops the block kernel replaced: detect() symbols, bits and
+    # layer_z row by row, and predict() symbols block by block
+    DETECT_DIGEST = "33bf7733f0a317b17016c6925968e426ea2f5cdb1b0b08b1784f632a03f2be80"
+    PREDICT_DIGEST = "d1b1e92c9207734712294c61f6ee8a44b24d2b10bcc375b558ab9ed6fca3a30f"
+
+    def test_byte_identical_to_row_by_row_detection(self):
+        per_row = hashlib.sha256()
+        per_block = hashlib.sha256()
+        for det, y in _identity_grid():
+            results = [det.detect(row) for row in y]
+            for r in results:
+                per_row.update(r.symbols.tobytes() + r.bits.tobytes() + r.layer_z.tobytes())
+            symbols = det.predict(y)
+            per_block.update(symbols.tobytes())
+            assert np.array_equal(symbols, np.stack([r.symbols for r in results]))
+            assert np.array_equal(
+                det.predict_bits(y), np.stack([r.bits for r in results])
+            )
+        assert per_row.hexdigest() == self.DETECT_DIGEST
+        assert per_block.hexdigest() == self.PREDICT_DIGEST
+
+    def test_single_row_shapes(self):
+        det = MZFDetector(modulation=16, variant="feedback").fit(H_REF)
+        assert det.predict(Y_REF).shape == (4,)
+        assert det.predict_bits(Y_REF).shape == (4, 2)
+        assert det.detect(Y_REF).layer_z.shape == (4, 2)
+        assert det.predict(np.stack([Y_REF] * 3)).shape == (3, 4)

@@ -125,6 +125,11 @@ class TestRunExperiment:
         monkeypatch.delenv("MZF_THREADS")
         assert capped == run_experiment(BASE)
 
+    def test_env_cap_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("MZF_THREADS", "two")
+        with pytest.raises(ValueError, match="MZF_THREADS.*'two'"):
+            run_experiment(dataclasses.replace(BASE, workers=2))
+
 
 class TestEmit:
     def test_csv_layout(self, tmp_path):
