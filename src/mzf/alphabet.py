@@ -24,6 +24,7 @@ class PamAlphabet:
     nbits: int             # log2(sqrt_m) bits per real symbol
     tau: float             # modulus scale, 2**(1 - nbits)
     energy: float          # mean square of points, (m - 1) / 3
+    tie_order: np.ndarray  # points as floats sorted by (|p|, p), the quantizer's tie rule
 
 
 def make_alphabet(m: int) -> PamAlphabet:
@@ -42,6 +43,7 @@ def make_alphabet(m: int) -> PamAlphabet:
         nbits=nbits,
         tau=2.0 ** (1 - nbits),
         energy=(m - 1) / 3.0,
+        tie_order=np.array(sorted(points.tolist(), key=lambda p: (abs(p), p)), dtype=float),
     )
 
 
@@ -53,8 +55,7 @@ def quantize_pam(v, alphabet: PamAlphabet, scale: float = 1.0):
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    order = sorted(alphabet.points.tolist(), key=lambda p: (abs(p), p))
-    pts = scale * np.asarray(order, dtype=float)
+    pts = scale * alphabet.tie_order
     v_arr = np.asarray(v, dtype=float)
     d = np.abs(v_arr[..., None] - pts)
     idx = np.argmin(d, axis=-1)  # first hit wins, order encodes the tie rule

@@ -13,6 +13,7 @@ import sys
 
 from .simulate import (
     SimConfig,
+    _worker_count,
     emit,
     emit_gain_samples,
     run_experiment,
@@ -171,8 +172,28 @@ def main(argv=None) -> int:
         print("selftest:", "PASS" if ok else "FAIL")
         return 0 if ok else 1
 
-    if args.command == "ber":
+    # a bad option or environment value is a usage error: message, exit 2
+    try:
         cfg = _build_config(args)
+        if args.command == "ber":
+            configs = [cfg]
+        else:
+            detector = args.detector or "mzf:sd"
+            mods = (
+                tuple(int(v) for v in args.mods.split(","))
+                if args.mods
+                else (cfg.modulation,)
+            )
+            configs = [
+                dataclasses.replace(cfg, modulation=m, detectors=(detector,)) for m in mods
+            ]
+        for c in configs:
+            c.validate()
+            _worker_count(c)  # raises on a malformed MZF_THREADS
+    except ValueError as exc:
+        parser.error(str(exc))
+
+    if args.command == "ber":
         records = run_experiment(cfg)
         fmt = args.format or ("json" if args.out.endswith(".json") else "csv")
         emit(records, fmt, args.out)
@@ -180,19 +201,12 @@ def main(argv=None) -> int:
         return 0
 
     # snrgain
-    cfg = _build_config(args)
-    detector = args.detector or "mzf:sd"
-    mods = (
-        tuple(int(v) for v in args.mods.split(","))
-        if args.mods
-        else (cfg.modulation,)
-    )
-    for m in mods:
-        mod_cfg = dataclasses.replace(cfg, modulation=m, detectors=(detector,))
+    for mod_cfg in configs:
+        m = mod_cfg.modulation
         samples = run_gain_experiment(mod_cfg)
         if "{m}" in args.out:
             path = args.out.replace("{m}", str(m))
-        elif len(mods) > 1:
+        elif len(configs) > 1:
             root, dot, ext = args.out.rpartition(".")
             path = f"{root}_m{m}{dot}{ext}" if dot else f"{args.out}_m{m}"
         else:

@@ -296,7 +296,7 @@ class LARDetector(MimoDetector):
         if self.mode not in LAR_MODES:
             raise ValueError(f"mode must be one of {LAR_MODES}, got {self.mode!r}")
         self.reduction_ = lll_reduce(h, self.delta)
-        self.hbar_inv_ = np.linalg.pinv(self.reduction_.bbar)
+        self.hbar_inv_ = self.reduction_.bbar_pinv
         self.shift_ = h @ np.ones(h.shape[1])
 
     def _detect_one(self, y):

@@ -10,6 +10,7 @@ an exhaustive box search used as the test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,11 +43,29 @@ class IlsProblem:
 
 @dataclass(frozen=True)
 class ReducedBasis:
-    """LLL output: Bbar = original @ T with T unimodular."""
+    """LLL output: Bbar = original @ T with T unimodular.
 
-    bbar: np.ndarray  # reduced basis, vectors in columns
-    t: np.ndarray     # integer transform, |det| = 1
+    The factorizations every layer's search reads are computed on first use
+    and kept, so one reduction pays for each of them once.
+    """
+
+    bbar: np.ndarray    # reduced basis, vectors in columns
+    t: np.ndarray       # integer transform, |det| = 1
     delta: float
+    source: np.ndarray  # copy of the unreduced input
+
+    @cached_property
+    def doubled_qr(self):
+        """Positive-diagonal QR of the doubled reduced basis 2 Bbar."""
+        return _qr_positive(2.0 * self.bbar)
+
+    @cached_property
+    def bbar_pinv(self) -> np.ndarray:
+        return np.linalg.pinv(self.bbar)
+
+    @cached_property
+    def source_pinv(self) -> np.ndarray:
+        return np.linalg.pinv(self.source)
 
 
 @dataclass(frozen=True)
@@ -79,12 +98,13 @@ def lll_reduce(m, delta: float = 0.75) -> ReducedBasis:
     """Lovasz-reduce the columns of m, tracking the unimodular transform.
 
     Raises on linearly dependent columns.  Standard swap-based formulation;
-    the Gram-Schmidt data is recomputed after swaps, which is cheap at the
-    dimensions this package targets.
+    the Gram-Schmidt data is computed once and then updated in O(n) per swap
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.3).
     """
     if not 0.25 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0.25, 1], got {delta}")
     basis = np.array(m, dtype=float)
+    source = basis.copy()
     if basis.ndim != 2 or basis.shape[0] < basis.shape[1]:
         raise ValueError(f"basis must be tall or square, got shape {basis.shape}")
     n = basis.shape[1]
@@ -109,9 +129,17 @@ def lll_reduce(m, delta: float = 0.75) -> ReducedBasis:
         else:
             basis[:, [k - 1, k]] = basis[:, [k, k - 1]]
             t[:, [k - 1, k]] = t[:, [k, k - 1]]
-            norms, mu = _gram_schmidt(basis)
+            m_k = mu[k, k - 1]
+            norm = norms[k] + m_k * m_k * norms[k - 1]  # of the new column k - 1
+            mu[k, k - 1] = m_k * norms[k - 1] / norm
+            norms[k] = norms[k - 1] * norms[k] / norm
+            norms[k - 1] = norm
+            mu[[k - 1, k], : k - 1] = mu[[k, k - 1], : k - 1]
+            below = mu[k + 1 :, k].copy()
+            mu[k + 1 :, k] = mu[k + 1 :, k - 1] - m_k * below
+            mu[k + 1 :, k - 1] = below + mu[k, k - 1] * mu[k + 1 :, k]
             k = max(k - 1, 1)
-    return ReducedBasis(bbar=basis, t=t, delta=delta)
+    return ReducedBasis(bbar=basis, t=t, delta=delta, source=source)
 
 
 def babai_round(b, basis: ReducedBasis) -> np.ndarray:
@@ -161,21 +189,21 @@ def solve_sd(
     vector is always a candidate, so cost <= ||b||^2.  If the node budget
     runs out the best point seen so far is returned with exact=False.
 
-    cache, when given, must be the reduction of B transposed; it tightens
-    the enumeration dramatically and is shared across all layers of one
-    coherence interval.
+    cache, when given, must be the reduction of B transposed (ValueError
+    otherwise); it tightens the enumeration dramatically and is shared,
+    factorizations included, across all layers of one coherence interval.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     b, B = problem.b, problem.B
     K = B.shape[0]
     if cache is None:
-        gen = 2.0 * B.T
+        q_mat, r_mat = _qr_positive(2.0 * B.T)
         t = np.eye(K, dtype=np.int64)
     else:
-        gen = 2.0 * cache.bbar
+        _check_cache(problem, cache)
+        q_mat, r_mat = cache.doubled_qr
         t = cache.t
-    q_mat, r_mat = _qr_positive(gen)
     v = q_mat.T @ b
     c0 = max(float(b @ b - v @ v), 0.0)  # out-of-span residual
 
@@ -277,9 +305,16 @@ def solve_brute(problem: IlsProblem, bound: int = 8) -> IlsSolution:
     return IlsSolution(q=best_q, cost=best_cost, exact=True, nodes_visited=n_points)
 
 
-def _unreduced_estimate(problem: IlsProblem) -> np.ndarray:
-    """Round-then-snap estimate without any basis reduction."""
-    z = quantize_int(np.linalg.pinv(problem.B.T) @ problem.b)
+def _check_cache(problem: IlsProblem, cache: ReducedBasis) -> None:
+    # a reduction of another matrix searches the wrong lattice
+    if not np.array_equal(cache.source, problem.B.T):
+        raise ValueError("cache is not the reduction of this problem's B transposed")
+
+
+def _unreduced_estimate(problem: IlsProblem, b_pinv: np.ndarray) -> np.ndarray:
+    """Round-then-snap estimate without any basis reduction; b_pinv is
+    pinv(B transposed)."""
+    z = quantize_int(b_pinv @ problem.b)
     return quantize_even_int(z.astype(float))
 
 
@@ -294,19 +329,19 @@ def solve_lll(problem: IlsProblem, cache: ReducedBasis) -> IlsSolution:
     unit-lattice rounding costs real accuracy (on square problems the
     unit-lattice optimum is -tau * delta_k, which snaps to zero), which is
     precisely the gap the exact sphere search closes.
+
+    cache must be the reduction of B transposed (ValueError otherwise).
     """
-    b, B = problem.b, problem.B
-    K = B.shape[0]
-    bbar_pinv = np.linalg.pinv(cache.bbar)
-    z = quantize_int(bbar_pinv @ b)
+    _check_cache(problem, cache)
+    z = quantize_int(cache.bbar_pinv @ problem.b)
     q_round = quantize_even_int((cache.t @ z).astype(float))
-    zero = np.zeros(K, dtype=np.int64)
-    return _best_of(
-        problem, [q_round, _unreduced_estimate(problem), zero], exact=False, nodes=0
-    )
+    zero = np.zeros(problem.B.shape[0], dtype=np.int64)
+    unreduced = _unreduced_estimate(problem, cache.source_pinv)
+    return _best_of(problem, [q_round, unreduced, zero], exact=False, nodes=0)
 
 
 def solve_babai(problem: IlsProblem, cache: ReducedBasis | None = None) -> IlsSolution:
     """Rounding-only route: the unreduced estimate or zero."""
     zero = np.zeros(problem.B.shape[0], dtype=np.int64)
-    return _best_of(problem, [_unreduced_estimate(problem), zero], exact=False, nodes=0)
+    unreduced = _unreduced_estimate(problem, np.linalg.pinv(problem.B.T))
+    return _best_of(problem, [unreduced, zero], exact=False, nodes=0)

@@ -88,3 +88,28 @@ class TestMain:
         assert rc == 0
         assert (tmp_path / "gains_m4.csv").exists()
         assert (tmp_path / "gains_m16.csv").exists()
+
+    def _usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        return capsys.readouterr().err
+
+    def test_unknown_detector_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        err = self._usage_error(
+            ["ber", "--kc", "2", "--trials", "3", "--detectors", "bogus", "--out", str(out)],
+            capsys,
+        )
+        assert "mzf: error: unknown detector kind 'bogus'" in err
+        assert not out.exists()
+
+    def test_malformed_thread_cap_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MZF_THREADS", "two")
+        out = tmp_path / "run.csv"
+        err = self._usage_error(
+            ["ber", "--kc", "2", "--trials", "3", "--workers", "2", "--out", str(out)],
+            capsys,
+        )
+        assert "mzf: error: MZF_THREADS must be an integer, got 'two'" in err
+        assert not out.exists()

@@ -184,6 +184,21 @@ class TestPreprocess:
                 lll = MZFDetector(modulation=16, variant=variant, solver="lll").fit(h)
                 assert all(p.nodes == 0 for row in lll.plans_ for p in row)
 
+    @pytest.mark.parametrize("solver", ["sd", "lll"])
+    def test_fit_factors_each_basis_once(self, solver, monkeypatch):
+        # one QR of the doubled reduced basis and one pinv each of the reduced
+        # and the unreduced basis serve all 8 layers x 3 bit stages
+        calls = {"qr": 0, "pinv": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        h = generate_real_channel(np.random.default_rng(27), 8)
+        MZFDetector(modulation=64, variant="bitwise", solver=solver).fit(h)
+        assert calls == {"qr": 1 if solver == "sd" else 0, "pinv": 2}
+
 
 class TestZF:
     def test_reference_symbols(self):

@@ -1,11 +1,21 @@
 """Even-integer closest-vector solver tests against the box oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from util_exact import int_det
 
 from mzf.alphabet import make_alphabet
-from mzf.channel import generate_real_channel, pseudo_inverse
+from mzf.channel import (
+    NoiseSpec,
+    embed_complex,
+    generate_channel,
+    generate_real_channel,
+    lmmse_inverse,
+    mmse_error_matrix,
+    pseudo_inverse,
+)
 from mzf.intsearch import (
     IlsProblem,
     babai_round,
@@ -95,6 +105,22 @@ class TestSolveSd:
                 assert cached.exact and plain.exact
                 assert cached.cost == pytest.approx(plain.cost, rel=1e-9)
 
+    def test_rejects_cache_of_another_problem(self):
+        rng = np.random.default_rng(12)
+        p, other = random_problem(rng), random_problem(rng)
+        with pytest.raises(ValueError, match="cache"):
+            solve_sd(p, cache=lll_reduce(other.B.T))  # same shape, other lattice
+        with pytest.raises(ValueError, match="cache"):
+            solve_sd(p, cache=lll_reduce(random_problem(rng, k=5).B.T))
+
+    def test_cache_keeps_its_own_copy_of_the_input(self):
+        rng = np.random.default_rng(13)
+        p = random_problem(rng)
+        m = p.B.T.copy()
+        cache = lll_reduce(m)
+        m[0, 0] += 1.0  # the caller's array, not the cache's
+        assert solve_sd(p, cache=cache).cost == pytest.approx(solve_sd(p).cost, rel=1e-9)
+
 
 class TestSolveBrute:
     def test_zero_target(self):
@@ -159,6 +185,78 @@ class TestLllReduce:
             lll_reduce(np.eye(2), delta=0.2)
 
 
+def zf_basis(h):
+    """The basis MZFDetector reduces for the zero-forcing equalizer."""
+    return -pseudo_inverse(h).T
+
+
+def lmmse_basis(h, n0):
+    """The tall (N+K) x K residual basis of the regularized equalizer."""
+    noise = NoiseSpec(n0)
+    return -mmse_error_matrix(lmmse_inverse(h, noise), h, noise).T
+
+
+def assert_lll_reduced(m, red, delta=0.75, eps=1e-9):
+    # Gram-Schmidt of the output recomputed from scratch through QR
+    r = np.linalg.qr(red.bbar, mode="r")
+    norms = np.diag(r) ** 2
+    mu = (r / np.diag(r)[:, None]).T  # mu[i, j] = <b_i, b*_j> / |b*_j|^2
+    assert np.all(np.abs(np.tril(mu, -1)) <= 0.5 + eps)
+    lovasz = norms[1:] - (delta - np.diag(mu, -1) ** 2) * norms[:-1]
+    assert np.all(lovasz >= -eps * norms[:-1])
+    assert np.allclose(red.bbar, m @ red.t, rtol=0, atol=1e-9 * np.abs(m).max())
+    assert abs(int_det(red.t)) == 1
+
+
+# sha256 over (bbar, t) of ZF bases of real channels drawn from rng([11, K]),
+# made with the reduction that recomputed Gram-Schmidt after every swap
+REDUCTION_DIGESTS = {
+    8: (20, "0d049dc57dbdd13c7e8f8e76c6b0827453ad6ffdd8838b3029934bc737095de3"),
+    12: (10, "21f66b00fd83364cc0aae4f0a05072e1062c5539019abdac09c0942cdb301b97"),
+    16: (10, "33198d8d37309faed725313c4df8f5d10f72844f86cc13c1d2b4fa6ca45f6007"),
+    24: (4, "22f4ccb55ce1e3b52ba2177788303bba40892e6cc134cdf75f6aff05b5298d38"),
+    32: (3, "df9d39b1a36b76bc3ab7bcefdc758328a4879ea828cfd0f385dc88aa630fa975"),
+}
+
+
+class TestLllOnChannelBases:
+    @pytest.mark.parametrize("k", sorted(REDUCTION_DIGESTS))
+    def test_reduced_bases_pinned(self, k):
+        count, want = REDUCTION_DIGESTS[k]
+        rng = np.random.default_rng([11, k])
+        digest = hashlib.sha256()
+        for _ in range(count):
+            red = lll_reduce(zf_basis(generate_real_channel(rng, k)))
+            digest.update(red.bbar.tobytes())
+            digest.update(red.t.tobytes())
+        assert digest.hexdigest() == want
+
+    @pytest.mark.parametrize("kc", [3, 4])
+    def test_complex_embedded_bases(self, kc):
+        # the real embedding puts exact +-k.5 Gram-Schmidt ties in play
+        rng = np.random.default_rng([14, kc])
+        for _ in range(200):
+            m = zf_basis(embed_complex(generate_channel(rng, kc).entries))
+            assert_lll_reduced(m, lll_reduce(m))
+
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_tall_lmmse_residual_bases(self, k):
+        rng = np.random.default_rng([15, k])
+        for _ in range(30):
+            h = generate_real_channel(rng, k)
+            for n0 in (0.01, 0.1, 1.0):
+                m = lmmse_basis(h, n0)
+                assert m.shape == (2 * k, k)
+                assert_lll_reduced(m, lll_reduce(m))
+
+    @pytest.mark.parametrize("k, count", [(24, 6), (32, 3)])
+    def test_large_real_bases(self, k, count):
+        rng = np.random.default_rng([16, k])
+        for _ in range(count):
+            m = zf_basis(generate_real_channel(rng, k))
+            assert_lll_reduced(m, lll_reduce(m))
+
+
 class TestSolveLll:
     def test_exact_on_orthogonal_basis(self):
         rng = np.random.default_rng(5)
@@ -186,6 +284,14 @@ class TestSolveLll:
         p = reference_problem(1)
         cache = lll_reduce(p.B.T)
         assert solve_lll(p, cache).cost >= solve_sd(p, cache=cache).cost - 1e-12
+
+    def test_rejects_cache_of_another_problem(self):
+        rng = np.random.default_rng(17)
+        p, other = random_problem(rng), random_problem(rng)
+        with pytest.raises(ValueError, match="cache"):
+            solve_lll(p, lll_reduce(other.B.T))
+        with pytest.raises(ValueError, match="cache"):
+            solve_lll(p, lll_reduce(random_problem(rng, k=5).B.T))
 
 
 class TestBabaiRound:
