@@ -19,8 +19,6 @@ from .alphabet import (
 from .channel import (
     ComplexChannel,
     NoiseSpec,
-    RealChannel,
-    apply_channel,
     embed_complex,
     generate_channel,
     generate_real_channel,
@@ -44,15 +42,13 @@ from .intsearch import (
     IlsProblem,
     IlsSolution,
     ReducedBasis,
-    babai_round,
     lll_reduce,
-    solve_babai,
     solve_brute,
     solve_lll,
     solve_sd,
 )
 from .metrics import BerAccumulator, LayerGain, detector_gains, post_snr, snr_to_n0
-from .modarith import ParityContext, branch_parity, mod_recover, recover_z
+from .modarith import ParityContext, branch_parity, mod_recover
 from .simulate import (
     SimConfig,
     SimRecord,
@@ -76,8 +72,6 @@ __all__ = [
     "symbol_to_bits",
     "ComplexChannel",
     "NoiseSpec",
-    "RealChannel",
-    "apply_channel",
     "embed_complex",
     "generate_channel",
     "generate_real_channel",
@@ -97,9 +91,7 @@ __all__ = [
     "IlsProblem",
     "IlsSolution",
     "ReducedBasis",
-    "babai_round",
     "lll_reduce",
-    "solve_babai",
     "solve_brute",
     "solve_lll",
     "solve_sd",
@@ -111,7 +103,6 @@ __all__ = [
     "ParityContext",
     "branch_parity",
     "mod_recover",
-    "recover_z",
     "SimConfig",
     "SimRecord",
     "emit",

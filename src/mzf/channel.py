@@ -124,38 +124,3 @@ def mmse_error_matrix(hplus, h, noise: NoiseSpec) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     left = hplus @ h - np.eye(hplus.shape[0])
     return np.hstack([left, noise.n0 * hplus])
-
-
-def apply_channel(h, x, noise: NoiseSpec, rng: np.random.Generator | None = None) -> np.ndarray:
-    """y = H x + n with i.i.d. N(0, N0/2) noise; n0=0 gives the exact product."""
-    h = np.asarray(h, dtype=float)
-    y = h @ np.asarray(x, dtype=float)
-    if noise.n0 > 0:
-        if rng is None:
-            raise ValueError("an rng stream is required when n0 > 0")
-        y = y + np.sqrt(noise.n0 / 2.0) * rng.standard_normal(h.shape[0])
-    return y
-
-
-@dataclass(frozen=True)
-class RealChannel:
-    """Real channel with its cached equalizer matrix."""
-
-    h: np.ndarray
-    hplus: np.ndarray
-    kind: str  # "zf-inverse" or "lmmse-inverse"
-
-    @classmethod
-    def from_real(cls, h, kind: str = "zf-inverse", noise: NoiseSpec | None = None) -> "RealChannel":
-        h = np.asarray(h, dtype=float)
-        if kind == "zf-inverse":
-            hplus = pseudo_inverse(h)
-        elif kind == "lmmse-inverse":
-            hplus = lmmse_inverse(h, noise if noise is not None else NoiseSpec(0.0))
-        else:
-            raise ValueError(f"unknown equalizer kind {kind!r}")
-        return cls(h=h, hplus=hplus, kind=kind)
-
-    @classmethod
-    def from_complex(cls, channel, kind: str = "zf-inverse", noise: NoiseSpec | None = None) -> "RealChannel":
-        return cls.from_real(embed_complex(channel), kind=kind, noise=noise)

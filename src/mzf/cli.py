@@ -11,8 +11,10 @@ import argparse
 import dataclasses
 import sys
 
+from .detect import LAR_MODES, NOISE_WEIGHTINGS, PARITY_MODES
 from .simulate import (
     SimConfig,
+    _gain_spec,
     _worker_count,
     emit,
     emit_gain_samples,
@@ -111,10 +113,10 @@ def _add_common_options(sub):
     sub.add_argument("--lll-delta", type=float, help="reduction parameter, default 0.75")
     sub.add_argument("--sd-budget", type=int, help="sphere search node budget")
     sub.add_argument("--brute-bound", type=int, help="box bound for the brute solver")
-    sub.add_argument("--parity", choices=("derived", "paper-literal"), help="fold branch rule")
-    sub.add_argument("--lar-mode", choices=("shifted", "literal"), help="reduction-aided mapping")
+    sub.add_argument("--parity", choices=PARITY_MODES, help="fold branch rule")
+    sub.add_argument("--lar-mode", choices=LAR_MODES, help="reduction-aided mapping")
     sub.add_argument(
-        "--noise-weighting", choices=("printed", "physical"),
+        "--noise-weighting", choices=NOISE_WEIGHTINGS,
         help="noise block weight of the residual matrix (regularized equalizer only)",
     )
     sub.add_argument("--workers", type=int, help="worker processes (MZF_THREADS caps)")
@@ -143,9 +145,7 @@ def main(argv=None) -> int:
     gain.add_argument("--out", required=True, help="output file; {m} expands per order")
 
     example = subs.add_parser("example", help="run the exact 4x4 worked example")
-    example.add_argument(
-        "--parity", choices=("derived", "paper-literal"), default="derived"
-    )
+    example.add_argument("--parity", choices=PARITY_MODES, default="derived")
 
     selftest = subs.add_parser("selftest", help="quick property suites")
     selftest.add_argument("--seed", type=int, default=0)
@@ -189,6 +189,8 @@ def main(argv=None) -> int:
             ]
         for c in configs:
             c.validate()
+            if args.command == "snrgain":
+                _gain_spec(c)  # raises unless the detector is a modulus one
             _worker_count(c)  # raises on a malformed MZF_THREADS
     except ValueError as exc:
         parser.error(str(exc))

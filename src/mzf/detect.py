@@ -4,14 +4,14 @@ fit() performs the per-coherence-interval preprocessing (equalizer
 matrices, lattice reduction, per-layer even-integer searches) and predict()
 detects channel observations, one vector or an n_obs x N block at a time,
 so one fitted detector serves every observation drawn while the channel
-stays constant.  All detectors share sklearn-style conventions: constructor
-arguments are stored verbatim, get_params/set_params expose them, and
-fitted state carries a trailing underscore.
+stays constant.  Constructor arguments are stored verbatim and checked by
+_validate_params, the first step of fit; fitted state carries a trailing
+underscore.  Every detector detects through one method, _block, which
+takes an n_obs x N block; detect() is a block of one row.
 """
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,7 +33,14 @@ from .channel import (
     mmse_error_matrix,
     pseudo_inverse,
 )
-from .intsearch import IlsProblem, lll_reduce, solve_brute, solve_lll, solve_sd
+from .intsearch import (
+    IlsProblem,
+    check_lll_delta,
+    lll_reduce,
+    solve_brute,
+    solve_lll,
+    solve_sd,
+)
 from .modarith import ParityContext, branch_parity, mod_recover_each
 
 MZF_VARIANTS = ("plain", "scaled-alpha", "bitwise", "feedback")
@@ -48,10 +55,9 @@ LAR_MODES = ("shifted", "literal")
 class PerturbationPlan:
     """Per-layer preprocessing result for the modulus detectors.
 
-    q is the even perturbation (all zero when the layer is degenerate),
-    combining_row is (tau * delta_k + alpha * q) @ Hplus precomputed, and
-    zf_row is the plain equalizer row tau * delta_k @ Hplus used whenever the
-    modulus is bypassed.
+    q is the even perturbation (all zero when the layer is degenerate) and
+    combining_row is (tau * delta_k + alpha * q) @ Hplus precomputed, the
+    plain equalizer row tau * delta_k @ Hplus on a degenerate layer.
     """
 
     layer: int
@@ -60,7 +66,6 @@ class PerturbationPlan:
     tau: float
     alpha: float
     combining_row: np.ndarray
-    zf_row: np.ndarray
     degenerate: bool
     parity: ParityContext
     cost: float
@@ -123,52 +128,50 @@ def _coerce_real_channel(channel) -> np.ndarray:
     return h
 
 
+def _check_choice(name: str, value, allowed: tuple) -> None:
+    if value not in allowed:
+        raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+
+
+def _apply(a, y):
+    """a @ row for every row of an n_obs x N block: one matrix-vector
+    product per row, so a block gives the bytes of its rows one by one
+    (y @ a.T would run GEMM, whose summation order moves results by an
+    ulp)."""
+    return np.matmul(a, y[..., None])[..., 0]
+
+
 class MimoDetector:
     """Base class wiring the estimator conventions; subclasses implement
-    _fit(h, n0) and _detect_one(y), and may override _block(y) to detect a
-    whole block at once."""
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"unknown parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
-        return self
+    _fit(h, n0) and _block(y), and may override _validate_params()."""
 
     def fit(self, channel, n0: float = 0.0):
+        self._validate_params()
         h = _coerce_real_channel(channel)
-        if n0 < 0:
-            raise ValueError(f"noise density must be >= 0, got {n0}")
+        noise = NoiseSpec(float(n0))  # raises on a negative or non-finite n0
         self.h_ = h
         self.k_ = h.shape[1]
-        self.n0_ = float(n0)
+        self.n0_ = noise.n0
         self.alphabet_ = make_alphabet(self.modulation)
-        self._fit(h, float(n0))
+        self._fit(h, noise.n0)
         return self
+
+    def _validate_params(self) -> None:
+        """Raise ValueError on a constructor argument fit cannot use."""
 
     def _fit(self, h: np.ndarray, n0: float) -> None:
         raise NotImplementedError
 
-    def _detect_one(self, y: np.ndarray) -> DetectionResult:
+    def _block(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Symbols, +-1 bits and layer_z of every row of a checked
+        n_obs x N block."""
         raise NotImplementedError
 
-    def _check_fitted(self):
+    def _checked(self, y) -> np.ndarray:
+        """y as a float observation vector or n_obs x N block; raises before
+        fit, on a wrong length or on a non-finite entry."""
         if not hasattr(self, "h_"):
             raise RuntimeError(f"{type(self).__name__} must be fitted before detecting")
-
-    def _checked(self, y) -> np.ndarray:
-        """y as a float observation vector or n_obs x N block; raises on a
-        wrong length or a non-finite entry."""
-        self._check_fitted()
         y = np.asarray(y, dtype=float)
         if y.ndim not in (1, 2):
             raise ValueError(
@@ -182,7 +185,9 @@ class MimoDetector:
 
     def detect(self, y) -> DetectionResult:
         """Full detection record for a single observation vector."""
-        return self._detect_one(self._checked(np.asarray(y).reshape(-1)))
+        y = self._checked(np.asarray(y).reshape(-1))
+        symbols, bits, layer_z = self._block(y[None])
+        return DetectionResult(symbols=symbols[0], bits=bits[0], layer_z=layer_z[0])
 
     def predict(self, y) -> np.ndarray:
         """Detected symbols of one observation (K) or of each row of an
@@ -198,22 +203,6 @@ class MimoDetector:
         out = self._block(np.atleast_2d(y))[part]
         return out if y.ndim == 2 else out[0]
 
-    def _block(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Symbols, +-1 bits and layer_z of every row of a checked block."""
-        results = [self._detect_one(row) for row in y]
-        return (
-            np.stack([r.symbols for r in results]),
-            np.stack([r.bits for r in results]),
-            np.stack([r.layer_z for r in results]),
-        )
-
-    def _result_from_symbols(self, symbols, layer_z) -> DetectionResult:
-        return DetectionResult(
-            symbols=np.asarray(symbols, dtype=float),
-            bits=symbol_to_bits(symbols, self.alphabet_.nbits),
-            layer_z=np.asarray(layer_z, dtype=float),
-        )
-
 
 class ZFDetector(MimoDetector):
     """Linear detection through the pseudo-inverse, quantized per layer."""
@@ -224,25 +213,17 @@ class ZFDetector(MimoDetector):
     def _fit(self, h, n0):
         self.hplus_ = pseudo_inverse(h)
 
-    def _detect_one(self, y):
-        est = self.hplus_ @ y
+    def _block(self, y):
+        est = _apply(self.hplus_, y)
         symbols = quantize_pam(est, self.alphabet_)
-        return self._result_from_symbols(symbols, est)
+        return symbols, symbol_to_bits(symbols, self.alphabet_.nbits), est
 
 
-class LMMSEDetector(MimoDetector):
+class LMMSEDetector(ZFDetector):
     """Linear detection through the regularized inverse; needs n0 at fit."""
-
-    def __init__(self, modulation: int = 4):
-        self.modulation = modulation
 
     def _fit(self, h, n0):
         self.hplus_ = lmmse_inverse(h, NoiseSpec(n0))
-
-    def _detect_one(self, y):
-        est = self.hplus_ @ y
-        symbols = quantize_pam(est, self.alphabet_)
-        return self._result_from_symbols(symbols, est)
 
 
 class MLDetector(MimoDetector):
@@ -269,12 +250,17 @@ class MLDetector(MimoDetector):
         self.candidates_ = np.array(list(itertools.product(pts, repeat=k)))
         self.candidate_images_ = self.candidates_ @ h.T
 
-    def _detect_one(self, y):
-        resid = self.candidate_images_ - y
-        costs = np.einsum("ij,ij->i", resid, resid)
-        idx = int(np.argmin(costs))  # first minimum = lexicographic tie-break
-        symbols = self.candidates_[idx]
-        return self._result_from_symbols(symbols, self.candidate_images_[idx])
+    def _block(self, y):
+        # row by row: the residuals of a whole block against every candidate
+        # would take n_obs times the candidate table
+        best = np.empty(len(y), dtype=np.int64)
+        for i, row in enumerate(y):
+            resid = self.candidate_images_ - row
+            # first minimum = lexicographic tie-break
+            best[i] = np.argmin(np.einsum("ij,ij->i", resid, resid))
+        symbols = self.candidates_[best]
+        bits = symbol_to_bits(symbols, self.alphabet_.nbits)
+        return symbols, bits, self.candidate_images_[best]
 
 
 class LARDetector(MimoDetector):
@@ -292,23 +278,25 @@ class LARDetector(MimoDetector):
         self.delta = delta
         self.mode = mode
 
+    def _validate_params(self):
+        _check_choice("mode", self.mode, LAR_MODES)
+        check_lll_delta(self.delta, "delta")
+
     def _fit(self, h, n0):
-        if self.mode not in LAR_MODES:
-            raise ValueError(f"mode must be one of {LAR_MODES}, got {self.mode!r}")
         self.reduction_ = lll_reduce(h, self.delta)
         self.hbar_inv_ = self.reduction_.bbar_pinv
         self.shift_ = h @ np.ones(h.shape[1])
 
-    def _detect_one(self, y):
+    def _block(self, y):
         t = self.reduction_.t
         if self.mode == "shifted":
-            z = quantize_int(self.hbar_inv_ @ ((y + self.shift_) / 2.0))
-            raw = 2 * (t @ z) - 1
+            z = quantize_int(_apply(self.hbar_inv_, (y + self.shift_) / 2.0))
+            raw = (2 * _apply(t, z) - 1).astype(float)
         else:
-            z = quantize_int(self.hbar_inv_ @ y)
-            raw = t @ z
-        symbols = quantize_pam(raw.astype(float), self.alphabet_)
-        return self._result_from_symbols(symbols, raw.astype(float))
+            z = quantize_int(_apply(self.hbar_inv_, y))
+            raw = _apply(t, z).astype(float)
+        symbols = quantize_pam(raw, self.alphabet_)
+        return symbols, symbol_to_bits(symbols, self.alphabet_.nbits), raw
 
 
 class MZFDetector(MimoDetector):
@@ -361,18 +349,18 @@ class MZFDetector(MimoDetector):
         self.noise_weighting = noise_weighting
 
     def _validate_params(self):
-        for name, value, allowed in (
-            ("variant", self.variant, MZF_VARIANTS),
-            ("solver", self.solver, SOLVERS),
-            ("equalizer", self.equalizer, EQUALIZERS),
-            ("parity", self.parity, PARITY_MODES),
-            ("noise_weighting", self.noise_weighting, NOISE_WEIGHTINGS),
-        ):
-            if value not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+        _check_choice("variant", self.variant, MZF_VARIANTS)
+        _check_choice("solver", self.solver, SOLVERS)
+        _check_choice("equalizer", self.equalizer, EQUALIZERS)
+        _check_choice("parity", self.parity, PARITY_MODES)
+        _check_choice("noise_weighting", self.noise_weighting, NOISE_WEIGHTINGS)
+        if self.sd_budget < 1:
+            raise ValueError(f"sd_budget must be >= 1, got {self.sd_budget}")
+        if self.brute_bound < 0:
+            raise ValueError(f"brute_bound must be >= 0, got {self.brute_bound}")
+        check_lll_delta(self.lll_delta, "lll_delta")
 
     def _fit(self, h, n0):
-        self._validate_params()
         k = h.shape[1]
         alphabet = self.alphabet_
         if self.equalizer == "zf":
@@ -423,31 +411,21 @@ class MZFDetector(MimoDetector):
         else:
             sol = solve_brute(problem, self.brute_bound)
         q = sol.q
-        zf_row = tau * self.hplus_[layer]
-        nlayers = self.alphabet_.nbits if bit_layer else 1
-        if is_degenerate(q, layer):
+        degenerate = is_degenerate(q, layer)
+        alpha = 1.0
+        if degenerate:
             # self-only perturbations never beat q = 0 when tau <= 1; keep the
             # plain equalizer row so degenerate layers match ZF bit for bit
             q = np.zeros_like(q)
-            return PerturbationPlan(
-                layer=layer,
-                bit_layer=bit_layer,
-                q=q,
-                tau=tau,
-                alpha=1.0,
-                combining_row=zf_row.copy(),
-                zf_row=zf_row,
-                degenerate=True,
-                parity=ParityContext(0, bit_layer, nlayers),
-                cost=problem.cost(q),
-                exact=sol.exact,
-                nodes=sol.nodes_visited,
-            )
-        alpha = 1.0
-        if self.variant == "scaled-alpha":
-            alpha, q = optimize_alpha(q, layer, tau, self.hplus_)
-        combining = tau * self.hplus_[layer] + alpha * (q @ self.hplus_)
-        cost_row = tau * effective[layer] + alpha * (q @ effective)
+            combining = tau * self.hplus_[layer]
+            cost = problem.cost(q)
+        else:
+            if self.variant == "scaled-alpha":
+                alpha, q = optimize_alpha(q, layer, tau, self.hplus_)
+            combining = tau * self.hplus_[layer] + alpha * (q @ self.hplus_)
+            cost_row = tau * effective[layer] + alpha * (q @ effective)
+            cost = float(cost_row @ cost_row)
+        nlayers = self.alphabet_.nbits if bit_layer else 1
         return PerturbationPlan(
             layer=layer,
             bit_layer=bit_layer,
@@ -455,17 +433,12 @@ class MZFDetector(MimoDetector):
             tau=tau,
             alpha=alpha,
             combining_row=combining,
-            zf_row=zf_row,
-            degenerate=False,
+            degenerate=degenerate,
             parity=ParityContext(int(q.sum()) // 2, bit_layer, nlayers),
-            cost=float(cost_row @ cost_row),
+            cost=cost,
             exact=sol.exact,
             nodes=sol.nodes_visited,
         )
-
-    def _detect_one(self, y):
-        symbols, bits, z = self._block(y[None, :])
-        return DetectionResult(symbols=symbols[0], bits=bits[0], layer_z=z[0])
 
     def _block(self, y):
         """Detect every row of an n_obs x N block at once.

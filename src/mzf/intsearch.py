@@ -1,10 +1,10 @@
 """Solvers for the even-integer closest-vector problem min_q ||b - q B||^2.
 
 q ranges over even-integer row vectors, so with q = 2m the problem is a
-closest-vector search on the lattice generated by the rows of 2B.  Four
+closest-vector search on the lattice generated by the rows of 2B.  Three
 routes are provided: exact depth-first sphere enumeration with radius
-shrinking, an LLL-reduction-based approximation, plain Babai rounding, and
-an exhaustive box search used as the test oracle.
+shrinking, an LLL-reduction-based approximation, and an exhaustive box
+search used as the test oracle.
 """
 
 from __future__ import annotations
@@ -94,6 +94,12 @@ def _gram_schmidt(basis: np.ndarray):
     return np.sum(ortho**2, axis=0), mu
 
 
+def check_lll_delta(delta, name: str = "delta") -> None:
+    """Raise ValueError unless delta lies in (0.25, 1], the Lovasz range."""
+    if not 0.25 < delta <= 1.0:
+        raise ValueError(f"{name} must lie in (0.25, 1], got {delta}")
+
+
 def lll_reduce(m, delta: float = 0.75) -> ReducedBasis:
     """Lovasz-reduce the columns of m, tracking the unimodular transform.
 
@@ -101,8 +107,7 @@ def lll_reduce(m, delta: float = 0.75) -> ReducedBasis:
     the Gram-Schmidt data is computed once and then updated in O(n) per swap
     (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.3).
     """
-    if not 0.25 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0.25, 1], got {delta}")
+    check_lll_delta(delta)
     basis = np.array(m, dtype=float)
     source = basis.copy()
     if basis.ndim != 2 or basis.shape[0] < basis.shape[1]:
@@ -140,22 +145,6 @@ def lll_reduce(m, delta: float = 0.75) -> ReducedBasis:
             mu[k + 1 :, k - 1] = below + mu[k, k - 1] * mu[k + 1 :, k]
             k = max(k - 1, 1)
     return ReducedBasis(bbar=basis, t=t, delta=delta, source=source)
-
-
-def babai_round(b, basis: ReducedBasis) -> np.ndarray:
-    """Nearest-plane estimate of the coefficients of b in the original basis.
-
-    Runs on the reduced basis and maps back through T, so for any lattice
-    point the exact coefficients come out.
-    """
-    bbar = basis.bbar
-    q, r = np.linalg.qr(bbar)
-    target = q.T @ np.asarray(b, dtype=float).reshape(-1)
-    n = bbar.shape[1]
-    c = np.zeros(n, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        c[i] = round((target[i] - r[i, i + 1 :] @ c[i + 1 :]) / r[i, i])
-    return basis.t @ c
 
 
 def _qr_positive(mat):
@@ -338,10 +327,3 @@ def solve_lll(problem: IlsProblem, cache: ReducedBasis) -> IlsSolution:
     zero = np.zeros(problem.B.shape[0], dtype=np.int64)
     unreduced = _unreduced_estimate(problem, cache.source_pinv)
     return _best_of(problem, [q_round, unreduced, zero], exact=False, nodes=0)
-
-
-def solve_babai(problem: IlsProblem, cache: ReducedBasis | None = None) -> IlsSolution:
-    """Rounding-only route: the unreduced estimate or zero."""
-    zero = np.zeros(problem.B.shape[0], dtype=np.int64)
-    unreduced = _unreduced_estimate(problem, np.linalg.pinv(problem.B.T))
-    return _best_of(problem, [unreduced, zero], exact=False, nodes=0)

@@ -2,10 +2,9 @@
 
 Given y = z + alpha * sum_m p_m * b_m with |z| < 2 (scaled by alpha), every
 p_m even and every b_m odd, z is recovered exactly by a mod-4*alpha fold
-whose branch depends on the parity of (1/2) * sum_m p_m.  mod_recover and
-recover_z are numeric-type agnostic: floats, numpy arrays and
-fractions.Fraction all work, which lets golden tests run in exact rational
-arithmetic.  mod_recover_each is the array form with one branch per element.
+whose branch depends on the parity of (1/2) * sum_m p_m.  mod_recover is
+numeric-type agnostic: floats, numpy arrays and fractions.Fraction all
+work, which lets golden tests run in exact rational arithmetic.  mod_recover_each is the array form with one branch per element.
 """
 
 from __future__ import annotations
@@ -70,10 +69,3 @@ def branch_parity(ctx: ParityContext) -> bool:
     if 1 <= ctx.layer < ctx.nlayers:
         return not base
     return base
-
-
-def recover_z(r, alpha, ctx: ParityContext):
-    """Recover the bounded layer value from a combined observation r."""
-    if alpha < 1:
-        raise ValueError(f"modulus scale must be >= 1, got {alpha}")
-    return mod_recover(r, alpha, branch_parity(ctx))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -22,11 +23,17 @@ import numpy as np
 from .alphabet import make_alphabet, random_symbols, symbol_to_bits
 from .channel import embed_complex, generate_channel, generate_real_channel
 from .detect import (
+    EQUALIZERS,
+    LAR_MODES,
+    NOISE_WEIGHTINGS,
+    PARITY_MODES,
+    SOLVERS,
     LARDetector,
     LMMSEDetector,
     MLDetector,
     MZFDetector,
     ZFDetector,
+    _check_choice,
 )
 from .metrics import BerAccumulator, detector_gains, snr_to_n0
 
@@ -66,9 +73,9 @@ def parse_detector_spec(text: str) -> DetectorSpec:
         raise ValueError(f"unknown detector kind {kind!r}; choose from {DETECTOR_KINDS}")
     equalizer = equalizer.strip().lower() or "zf"
     solver = solver.strip().lower() or "sd"
-    if equalizer not in ("zf", "lmmse"):
+    if equalizer not in EQUALIZERS:
         raise ValueError(f"unknown equalizer {equalizer!r} in {text!r}")
-    if solver not in ("sd", "lll", "brute"):
+    if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r} in {text!r}")
     if kind not in MZF_KIND_VARIANTS and equalizer != "zf":
         raise ValueError(f"detector {kind!r} takes no equalizer suffix")
@@ -100,6 +107,8 @@ class SimConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.snr_db:
             raise ValueError("snr_db must not be empty")
+        if not all(math.isfinite(s) for s in self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if (self.kc is None) == (self.k_real is None):
             raise ValueError("exactly one of kc and k_real must be set")
         if self.kc is not None and self.kc < 1:
@@ -108,15 +117,17 @@ class SimConfig:
             raise ValueError(f"k_real must be >= 1, got {self.k_real}")
         if not self.detectors:
             raise ValueError("detectors must not be empty")
-        if self.parity_mode not in ("derived", "paper-literal"):
-            raise ValueError(f"parity_mode must be derived or paper-literal, got {self.parity_mode!r}")
-        if self.lar_mode not in ("shifted", "literal"):
-            raise ValueError(f"lar_mode must be shifted or literal, got {self.lar_mode!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         make_alphabet(self.modulation)  # raises on a bad modulation order
-        for spec in self.detectors:
-            parse_detector_spec(spec)
+        _check_choice("parity_mode", self.parity_mode, PARITY_MODES)
+        _check_choice("lar_mode", self.lar_mode, LAR_MODES)
+        _check_choice("noise_weighting", self.noise_weighting, NOISE_WEIGHTINGS)
+        # the detectors check their own options; the modulus and LAR kinds
+        # are always asked, so an option no listed detector reads is checked
+        specs = [parse_detector_spec(s) for s in self.detectors]
+        for spec in specs + [DetectorSpec("mzf"), DetectorSpec("lar")]:
+            build_detector(spec, self)._validate_params()
 
 
 @dataclass(frozen=True)
@@ -334,13 +345,6 @@ def emit(records: list[SimRecord], fmt: str, path: str) -> None:
         raise ValueError(f"unknown output format {fmt!r}")
 
 
-def load_records(path: str) -> list[SimRecord]:
-    """Read back a JSON record file (inverse of emit for fmt='json')."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return [SimRecord(**item) for item in data]
-
-
 @dataclass(frozen=True)
 class GainSample:
     trial: int
@@ -348,10 +352,16 @@ class GainSample:
     gain_db: float
 
 
-def _gain_trials(cfg: SimConfig, trial_indices) -> list[GainSample]:
+def _gain_spec(cfg: SimConfig) -> DetectorSpec:
+    """The modulus detector a gain experiment samples: the first listed."""
     spec = parse_detector_spec(cfg.detectors[0])
     if spec.kind not in MZF_KIND_VARIANTS:
         raise ValueError("gain experiments need a modulus detector first in the list")
+    return spec
+
+
+def _gain_trials(cfg: SimConfig, trial_indices) -> list[GainSample]:
+    spec = _gain_spec(cfg)
     samples = []
     for trial in trial_indices:
         rng = np.random.default_rng([cfg.seed, trial])

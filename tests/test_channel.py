@@ -6,8 +6,6 @@ import pytest
 from mzf.channel import (
     ComplexChannel,
     NoiseSpec,
-    RealChannel,
-    apply_channel,
     embed_complex,
     generate_channel,
     generate_real_channel,
@@ -160,43 +158,3 @@ class TestMmseErrorMatrix:
         e = mmse_error_matrix(hplus, h, NoiseSpec(0.25))
         want = np.hstack([hplus @ h - np.eye(4), 0.25 * hplus])
         assert np.allclose(e, want, atol=1e-12)
-
-
-class TestApplyChannel:
-    def test_noiseless_reference_product(self):
-        x = np.array([1.0, -1.0, -1.0, 1.0])
-        y = apply_channel(H_REF, x, NoiseSpec(0.0))
-        assert y.tolist() == [0.0, 1.0, 12.0, 3.0]
-
-    def test_identity_passthrough(self):
-        x = np.array([2.0, -3.0])
-        assert np.array_equal(apply_channel(np.eye(2), x, NoiseSpec(0.0)), x)
-
-    def test_noise_variance(self):
-        rng = np.random.default_rng(9)
-        h = np.eye(2)
-        x = np.zeros(2)
-        samples = np.stack(
-            [apply_channel(h, x, NoiseSpec(2.0), rng) for _ in range(10_000)]
-        )
-        assert np.all(np.abs(samples.var(axis=0) - 1.0) < 0.05)
-
-    def test_noise_needs_rng(self):
-        with pytest.raises(ValueError):
-            apply_channel(np.eye(2), np.zeros(2), NoiseSpec(1.0))
-
-
-class TestRealChannel:
-    def test_from_real_zf(self):
-        ch = RealChannel.from_real(H_REF)
-        assert ch.kind == "zf-inverse"
-        assert np.allclose(ch.hplus @ ch.h, np.eye(4), atol=1e-9)
-
-    def test_from_complex_lmmse(self):
-        cc = generate_channel(np.random.default_rng(10), 2)
-        ch = RealChannel.from_complex(cc, kind="lmmse-inverse", noise=NoiseSpec(1.0))
-        assert ch.h.shape == (4, 4)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            RealChannel.from_real(np.eye(2), kind="other")

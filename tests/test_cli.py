@@ -113,3 +113,42 @@ class TestMain:
         )
         assert "mzf: error: MZF_THREADS must be an integer, got 'two'" in err
         assert not out.exists()
+
+    def test_snrgain_needs_a_modulus_detector(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        err = self._usage_error(
+            ["snrgain", "--kc", "2", "--trials", "2", "--detector", "zf", "--out", str(out)],
+            capsys,
+        )
+        assert "mzf: error: gain experiments need a modulus detector" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--lll-delta", "2"], "lll_delta must lie in (0.25, 1], got 2.0"),
+            (["--sd-budget", "0"], "sd_budget must be >= 1, got 0"),
+            (
+                ["--detectors", "mzf:brute", "--brute-bound", "-3"],
+                "brute_bound must be >= 0, got -3",
+            ),
+            (["--snr", "nan"], "snr_db must be finite"),
+        ],
+    )
+    def test_bad_option_value_is_a_usage_error(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        argv = ["ber", "--kc", "2", "--trials", "2", *flags, "--out", str(out)]
+        err = self._usage_error(argv, capsys)
+        assert f"mzf: error: {message}" in err
+        assert not out.exists()
+
+    def test_bad_config_file_value_is_a_usage_error(self, tmp_path, capsys):
+        # checked although no listed detector reads the option
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("noise-weighting=bogus\n")
+        out = tmp_path / "run.csv"
+        argv = ["ber", "--config", str(cfg), "--kc", "2", "--trials", "2",
+                "--detectors", "zf", "--out", str(out)]
+        err = self._usage_error(argv, capsys)
+        assert "mzf: error: noise_weighting must be one of" in err
+        assert not out.exists()

@@ -14,6 +14,7 @@ from mzf.channel import (
 )
 from mzf.detect import (
     EQUALIZERS,
+    LAR_MODES,
     MZF_VARIANTS,
     PARITY_MODES,
     LARDetector,
@@ -44,27 +45,6 @@ def noiseless_cases(seed, n, dims=(2, 4, 6), mods=(4, 16, 64)):
 
 
 class TestEstimatorConventions:
-    def test_clone_through_params(self):
-        # a detector must be reconstructible from its own get_params output
-        for det in (
-            MZFDetector(modulation=64, variant="bitwise", solver="lll", sd_budget=7),
-            LARDetector(modulation=16, delta=0.9, mode="literal"),
-            MLDetector(modulation=16, max_candidates=123),
-        ):
-            clone = type(det)(**det.get_params())
-            assert clone.get_params() == det.get_params()
-
-    def test_get_set_params(self):
-        det = MZFDetector(modulation=16, solver="lll")
-        params = det.get_params()
-        assert params["modulation"] == 16
-        assert params["solver"] == "lll"
-        det.set_params(solver="sd", sd_budget=99)
-        assert det.solver == "sd"
-        assert det.sd_budget == 99
-        with pytest.raises(ValueError):
-            det.set_params(bogus=1)
-
     def test_fit_returns_self_and_sets_state(self):
         det = ZFDetector(modulation=4)
         assert det.fit(H_REF) is det
@@ -124,11 +104,20 @@ class TestEstimatorConventions:
             MZFDetector(equalizer="nope"),
             MZFDetector(parity="nope"),
             MZFDetector(noise_weighting="nope"),
+            MZFDetector(sd_budget=0),
+            MZFDetector(brute_bound=-1),
+            MZFDetector(lll_delta=2.0),
+            LARDetector(mode="nope"),
+            LARDetector(delta=0.25),
         ):
             with pytest.raises(ValueError):
                 bad.fit(H_REF)
-        with pytest.raises(ValueError):
-            LARDetector(mode="nope").fit(H_REF)
+
+    @pytest.mark.parametrize("det", [ZFDetector(), MZFDetector(), LARDetector()])
+    @pytest.mark.parametrize("n0", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_noise_density(self, det, n0):
+        with pytest.raises(ValueError, match="noise density must be finite and >= 0"):
+            det.fit(H_REF, n0=n0)
 
 
 class TestPreprocess:
@@ -510,10 +499,10 @@ class TestParityModes:
         pytest.fail("no even-parity plan found in 200 channels")
 
 
-def _identity_grid():
-    """(fitted detector, block) pairs: every variant, parity mode and
-    equalizer at M = 4, 16, 64 on one kc = 3 channel and one real K = 16
-    channel; rows at 10, 20 and 30 dB, the first NOISELESS rows noiseless."""
+def _grid_blocks():
+    """(channel, M, n0, block) on one kc = 3 channel and one real K = 16
+    channel at M = 4, 16, 64; rows at 10, 20 and 30 dB, the first
+    NOISELESS rows noiseless, n0 that of 20 dB."""
     rows, noiseless, snrs = 24, 6, (10.0, 20.0, 30.0)
     rng = np.random.default_rng(31)
     for h in (embed_complex(generate_channel(rng, 3)), generate_real_channel(rng, 16)):
@@ -525,12 +514,48 @@ def _identity_grid():
             sigma = np.repeat(np.sqrt(np.array(n0s) / 2.0), rows // len(snrs))
             sigma[:noiseless] = 0.0
             noise = sigma[:, None] * rng.standard_normal((rows, h.shape[0]))
-            y = x.astype(float) @ h.T + noise
-            for variant in MZF_VARIANTS:
-                for parity in PARITY_MODES:
-                    for equalizer in EQUALIZERS:
-                        det = MZFDetector(m, variant, equalizer=equalizer, parity=parity)
-                        yield det.fit(h, n0=n0s[1]), y
+            yield h, m, n0s[1], x.astype(float) @ h.T + noise
+
+
+def _identity_grid():
+    """(fitted detector, block) pairs: every variant, parity mode and
+    equalizer on every _grid_blocks entry."""
+    for h, m, n0, y in _grid_blocks():
+        for variant in MZF_VARIANTS:
+            for parity in PARITY_MODES:
+                for equalizer in EQUALIZERS:
+                    det = MZFDetector(m, variant, equalizer=equalizer, parity=parity)
+                    yield det.fit(h, n0=n0), y
+
+
+def _baseline_grid():
+    """(fitted detector, block) pairs for the ZF, LMMSE (fitted with n0),
+    LAR (both modes) and ML detectors on every _grid_blocks entry; ML only
+    on the kc = 3 channel at M <= 16."""
+    for h, m, n0, y in _grid_blocks():
+        yield ZFDetector(m).fit(h), y
+        yield LMMSEDetector(m).fit(h, n0=n0), y
+        for mode in LAR_MODES:
+            yield LARDetector(m, mode=mode).fit(h), y
+        if h.shape[1] == 6 and m <= 16:
+            yield MLDetector(m).fit(h), y
+
+
+def _digests(pairs):
+    """sha256 of detect() symbols, bits and layer_z row by row, and of
+    predict() symbols block by block; asserts predict and predict_bits
+    equal the stacked detect() rows."""
+    per_row = hashlib.sha256()
+    per_block = hashlib.sha256()
+    for det, y in pairs:
+        results = [det.detect(row) for row in y]
+        for r in results:
+            per_row.update(r.symbols.tobytes() + r.bits.tobytes() + r.layer_z.tobytes())
+        symbols = det.predict(y)
+        per_block.update(symbols.tobytes())
+        assert np.array_equal(symbols, np.stack([r.symbols for r in results]))
+        assert np.array_equal(det.predict_bits(y), np.stack([r.bits for r in results]))
+    return per_row.hexdigest(), per_block.hexdigest()
 
 
 class TestBlockDetection:
@@ -539,22 +564,19 @@ class TestBlockDetection:
     # layer_z row by row, and predict() symbols block by block
     DETECT_DIGEST = "33bf7733f0a317b17016c6925968e426ea2f5cdb1b0b08b1784f632a03f2be80"
     PREDICT_DIGEST = "d1b1e92c9207734712294c61f6ee8a44b24d2b10bcc375b558ab9ed6fca3a30f"
+    # the same digests on _baseline_grid, made with the row-by-row detection
+    # the ZF, LMMSE, LAR and ML block kernels replaced
+    BASELINE_DETECT_DIGEST = "702cd0a1dbaad7f6383253b9a44855ebcfae1fe6abc178c0222ade89108daf0d"
+    BASELINE_PREDICT_DIGEST = "ec15fce4a582315dee5da02e35acf9cb6607bf73c346ea532c49a0d28e54222f"
 
     def test_byte_identical_to_row_by_row_detection(self):
-        per_row = hashlib.sha256()
-        per_block = hashlib.sha256()
-        for det, y in _identity_grid():
-            results = [det.detect(row) for row in y]
-            for r in results:
-                per_row.update(r.symbols.tobytes() + r.bits.tobytes() + r.layer_z.tobytes())
-            symbols = det.predict(y)
-            per_block.update(symbols.tobytes())
-            assert np.array_equal(symbols, np.stack([r.symbols for r in results]))
-            assert np.array_equal(
-                det.predict_bits(y), np.stack([r.bits for r in results])
-            )
-        assert per_row.hexdigest() == self.DETECT_DIGEST
-        assert per_block.hexdigest() == self.PREDICT_DIGEST
+        assert _digests(_identity_grid()) == (self.DETECT_DIGEST, self.PREDICT_DIGEST)
+
+    def test_baseline_detectors_byte_identical_to_row_by_row_detection(self):
+        assert _digests(_baseline_grid()) == (
+            self.BASELINE_DETECT_DIGEST,
+            self.BASELINE_PREDICT_DIGEST,
+        )
 
     def test_single_row_shapes(self):
         det = MZFDetector(modulation=16, variant="feedback").fit(H_REF)

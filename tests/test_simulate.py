@@ -8,9 +8,9 @@ import pytest
 from mzf.simulate import (
     CSV_COLUMNS,
     SimConfig,
+    SimRecord,
     emit,
     emit_gain_samples,
-    load_records,
     parse_detector_spec,
     run_experiment,
     run_gain_experiment,
@@ -64,6 +64,12 @@ class TestConfigValidation:
             ({"workers": 0}, "workers"),
             ({"modulation": 8}, "modulation"),
             ({"detectors": ("zf", "nope")}, "kind"),
+            ({"snr_db": (10.0, float("nan"))}, "snr_db must be finite"),
+            ({"snr_db": (float("inf"),)}, "snr_db must be finite"),
+            ({"noise_weighting": "other"}, "noise_weighting"),
+            ({"lll_delta": 2.0}, "lll_delta"),
+            ({"sd_budget": 0}, "sd_budget"),
+            ({"brute_bound": -1}, "brute_bound"),
         ],
     )
     def test_invalid_configs_name_the_field(self, kwargs, err_match):
@@ -148,8 +154,8 @@ class TestEmit:
         path = tmp_path / "out.json"
         records = run_experiment(BASE)
         emit(records, "json", str(path))
-        assert load_records(str(path)) == records
         data = json.loads(path.read_text())
+        assert [SimRecord(**row) for row in data] == records
         assert list(data[0].keys()) == list(CSV_COLUMNS)
 
     def test_rejects_empty_and_unknown_format(self, tmp_path):
