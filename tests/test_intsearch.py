@@ -120,6 +120,51 @@ class TestSolveSd:
         assert solve_sd(p, cache=cache).cost == pytest.approx(solve_sd(p).cost, rel=1e-9)
 
 
+def search_digest(k, tau, count, budget=10**6):
+    """sha256 over (q, cost, nodes_visited, exact) of solve_sd on every layer
+    of count real K x K ZF problems drawn from rng([17, K]), each channel
+    searched through its shared reduction as MZFDetector.fit does."""
+    rng = np.random.default_rng([17, k])
+    digest = hashlib.sha256()
+    for _ in range(count):
+        hplus = pseudo_inverse(generate_real_channel(rng, k))
+        cache = lll_reduce(-hplus.T)
+        for layer in range(k):
+            sol = solve_sd(IlsProblem(tau * hplus[layer], -hplus), budget, cache)
+            digest.update(sol.q.tobytes())
+            digest.update(np.float64(sol.cost).tobytes())
+            digest.update(np.int64(sol.nodes_visited).tobytes())
+            digest.update(np.bool_(sol.exact).tobytes())
+    return digest.hexdigest()
+
+
+# search_digest values made with the numpy-scalar enumeration loop; node
+# counts are pinned with the optima, so a reordered sibling visit shows too
+SEARCH_DIGESTS = {
+    (8, 1.0): (10, "bcc75c6b3a610bd8ce990a21f71d9533a2068249881e7c0a4ffafd9acaabe9f7"),
+    (8, 0.25): (10, "7b24c64a33a42c4612518fe9f1dede482a417513bca0075189e1b52a98c6d6f9"),
+    (12, 1.0): (6, "3fa740337511a2f79b174eec590a87e64b4706a3daec652ccd150955a2d5d004"),
+    (12, 0.25): (6, "484b1b4157b3a6d0563afa28832c845787f80732f05e13dd417cd4567bead247"),
+    (16, 1.0): (4, "908a1cfadf2ddf30974ba2b106621a2e6baa63fe976e3bd6bf9d75ab2700e231"),
+    (16, 0.25): (4, "5c8cc0139206eb9b92c02f49411e36da0fe79b2510db511a59601e75323abe9a"),
+    (24, 1.0): (2, "cc0df803fe490109dff7aa0344ec14d6ac0ff2dee6574e1ac53386a7b6d7bc3a"),
+    (24, 0.25): (2, "da4bf2261007ff33eac74c98e0a1004bb45e10eed73199dcb653312b088a4234"),
+}
+
+
+class TestSearchPinned:
+    @pytest.mark.parametrize("k, tau", sorted(SEARCH_DIGESTS))
+    def test_search_outputs_pinned(self, k, tau):
+        count, want = SEARCH_DIGESTS[(k, tau)]
+        assert search_digest(k, tau, count) == want
+
+    def test_starved_search_pinned(self):
+        # budget 50 runs out on 31 of the 32 layers, so exact=False and the
+        # best point at the cut are pinned as well
+        want = "1102e139aa1ec29d6a7de0262bae8b6f0ea52833e7d35036e6f32cc6ce6c8bba"
+        assert search_digest(16, 1.0, 2, budget=50) == want
+
+
 class TestSolveBrute:
     def test_zero_target(self):
         p = IlsProblem(np.zeros(3), np.eye(3))
@@ -216,6 +261,18 @@ REDUCTION_DIGESTS = {
     32: (3, "df9d39b1a36b76bc3ab7bcefdc758328a4879ea828cfd0f385dc88aa630fa975"),
 }
 
+# sha256 over (bbar, t) of the tie-prone bases below: ZF bases of complex
+# channels in their real embedding (by kc) and tall LMMSE residual bases (by
+# K), made with the numpy-array reduction loop
+COMPLEX_DIGESTS = {
+    3: "49b5b0a913df9ad9ddce1127d300dd882a7de96e67b019fe20c6649341ba1278",
+    4: "596bcf8625dbbe36c7d2e2ef98e82212cd555d39cd5396c29a8461b103cc82fc",
+}
+TALL_DIGESTS = {
+    6: "96a7277942ff5bd3a301c73ead394ac8563cd1548bc7feb2c75b74da8e3f6c89",
+    8: "a315ea79bce2a8954c803f118a66a56bf626e6ce65043ffcafcbeb376611e173",
+}
+
 
 class TestLllOnChannelBases:
     @pytest.mark.parametrize("k", sorted(REDUCTION_DIGESTS))
@@ -229,23 +286,34 @@ class TestLllOnChannelBases:
             digest.update(red.t.tobytes())
         assert digest.hexdigest() == want
 
-    @pytest.mark.parametrize("kc", [3, 4])
+    @pytest.mark.parametrize("kc", sorted(COMPLEX_DIGESTS))
     def test_complex_embedded_bases(self, kc):
-        # the real embedding puts exact +-k.5 Gram-Schmidt ties in play
+        # the real embedding puts exact +-k.5 Gram-Schmidt ties in play, so
+        # any reordered operation in the reduction shows in the digest
         rng = np.random.default_rng([14, kc])
+        digest = hashlib.sha256()
         for _ in range(200):
             m = zf_basis(embed_complex(generate_channel(rng, kc).entries))
-            assert_lll_reduced(m, lll_reduce(m))
+            red = lll_reduce(m)
+            assert_lll_reduced(m, red)
+            digest.update(red.bbar.tobytes())
+            digest.update(red.t.tobytes())
+        assert digest.hexdigest() == COMPLEX_DIGESTS[kc]
 
-    @pytest.mark.parametrize("k", [6, 8])
+    @pytest.mark.parametrize("k", sorted(TALL_DIGESTS))
     def test_tall_lmmse_residual_bases(self, k):
         rng = np.random.default_rng([15, k])
+        digest = hashlib.sha256()
         for _ in range(30):
             h = generate_real_channel(rng, k)
             for n0 in (0.01, 0.1, 1.0):
                 m = lmmse_basis(h, n0)
                 assert m.shape == (2 * k, k)
-                assert_lll_reduced(m, lll_reduce(m))
+                red = lll_reduce(m)
+                assert_lll_reduced(m, red)
+                digest.update(red.bbar.tobytes())
+                digest.update(red.t.tobytes())
+        assert digest.hexdigest() == TALL_DIGESTS[k]
 
     @pytest.mark.parametrize("k, count", [(24, 6), (32, 3)])
     def test_large_real_bases(self, k, count):
