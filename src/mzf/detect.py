@@ -12,7 +12,6 @@ takes an n_obs x N block; detect() is a block of one row.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -247,7 +246,9 @@ class MLDetector(MimoDetector):
                 " reduce K or the modulation order"
             )
         pts = self.alphabet_.points.astype(float)
-        self.candidates_ = np.array(list(itertools.product(pts, repeat=k)))
+        # every index tuple in lexicographic order, the last index fastest
+        grid = np.indices((self.alphabet_.sqrt_m,) * k).reshape(k, -1).T
+        self.candidates_ = pts[grid]
         self.candidate_images_ = self.candidates_ @ h.T
 
     def _block(self, y):

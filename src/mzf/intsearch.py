@@ -5,6 +5,13 @@ closest-vector search on the lattice generated by the rows of 2B.  Three
 routes are provided: exact depth-first sphere enumeration with radius
 shrinking, an LLL-reduction-based approximation, and an exhaustive box
 search used as the test oracle.
+
+The two loops a fit spends its time in, the enumeration in _se_enumerate
+and the swap loop of lll_reduce, run on Python lists of floats and ints:
+each m[k] or mu[k, j] read of a numpy array pays numpy's per-scalar
+overhead, several times the arithmetic it feeds.  Every step is the same
+elementwise IEEE operation, in the same order, that the array form did, and
+round() keeps its half-to-even rule, so the outputs are the same bytes.
 """
 
 from __future__ import annotations
@@ -106,6 +113,7 @@ def lll_reduce(m, delta: float = 0.75) -> ReducedBasis:
     Raises on linearly dependent columns.  Standard swap-based formulation;
     the Gram-Schmidt data is computed once and then updated in O(n) per swap
     (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.3).
+    The loop runs on lists (see the module docstring).
     """
     check_lll_delta(delta)
     basis = np.array(m, dtype=float)
@@ -117,33 +125,43 @@ def lll_reduce(m, delta: float = 0.75) -> ReducedBasis:
     norms, mu = _gram_schmidt(basis)
     if np.min(norms) <= 1e-24 * np.max(norms):
         raise ValueError("basis columns are linearly dependent")
+    norms, mu = norms.tolist(), mu.tolist()
+    cols, t_cols = basis.T.tolist(), t.T.tolist()
     k = 1
     guard = 0
     while k < n:
         guard += 1
         if guard > 100_000 * n * n:
             raise RuntimeError("reduction failed to terminate")
+        mu_k = mu[k]
         for j in range(k - 1, -1, -1):
-            c = round(mu[k, j])
+            c = round(mu_k[j])
             if c != 0:
-                basis[:, k] -= c * basis[:, j]
-                t[:, k] -= c * t[:, j]
-                mu[k, : j + 1] -= c * mu[j, : j + 1]
-        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+                t_cols[k] = [x - c * y for x, y in zip(t_cols[k], t_cols[j])]
+                c = float(c)
+                cols[k] = [x - c * y for x, y in zip(cols[k], cols[j])]
+                mu_k[: j + 1] = [x - c * y for x, y in zip(mu_k, mu[j][: j + 1])]
+        m_k = mu_k[k - 1]
+        if norms[k] >= (delta - m_k**2) * norms[k - 1]:
             k += 1
-        else:
-            basis[:, [k - 1, k]] = basis[:, [k, k - 1]]
-            t[:, [k - 1, k]] = t[:, [k, k - 1]]
-            m_k = mu[k, k - 1]
-            norm = norms[k] + m_k * m_k * norms[k - 1]  # of the new column k - 1
-            mu[k, k - 1] = m_k * norms[k - 1] / norm
-            norms[k] = norms[k - 1] * norms[k] / norm
-            norms[k - 1] = norm
-            mu[[k - 1, k], : k - 1] = mu[[k, k - 1], : k - 1]
-            below = mu[k + 1 :, k].copy()
-            mu[k + 1 :, k] = mu[k + 1 :, k - 1] - m_k * below
-            mu[k + 1 :, k - 1] = below + mu[k, k - 1] * mu[k + 1 :, k]
-            k = max(k - 1, 1)
+            continue
+        cols[k - 1], cols[k] = cols[k], cols[k - 1]
+        t_cols[k - 1], t_cols[k] = t_cols[k], t_cols[k - 1]
+        norm = norms[k] + m_k * m_k * norms[k - 1]  # of the new column k - 1
+        mu_new = m_k * norms[k - 1] / norm
+        norms[k] = norms[k - 1] * norms[k] / norm
+        norms[k - 1] = norm
+        # rows k - 1 and k trade their first k - 1 entries; the unit
+        # diagonal stays where it is
+        mu[k - 1][: k - 1], mu_k[: k - 1] = mu_k[: k - 1], mu[k - 1][: k - 1]
+        mu_k[k - 1] = mu_new
+        for row in mu[k + 1 :]:
+            below = row[k]
+            row[k] = row[k - 1] - m_k * below
+            row[k - 1] = below + mu_new * row[k]
+        k = max(k - 1, 1)
+    basis[...] = np.array(cols).T  # in place, so bbar keeps the input's layout
+    t[...] = np.array(t_cols).T
     return ReducedBasis(bbar=basis, t=t, delta=delta, source=source)
 
 
@@ -211,17 +229,22 @@ def solve_sd(
 
 
 def _se_enumerate(v, r_mat, best_cost, c0, budget):
-    """Depth-first enumeration core; returns (best coeffs or None, nodes, exact)."""
+    """Depth-first enumeration core; returns (best coeffs or None, nodes, exact).
+
+    partial[i] is v minus the contributions of levels > i; only its first
+    i + 1 entries are ever read, so a descent to level k - 1 builds just k.
+    """
     K = v.size
-    diag = np.diag(r_mat)
+    cols = [r_mat[:k, k].tolist() for k in range(K)]  # above the diagonal
+    diag = np.diag(r_mat).tolist()
     best_w = None
-    m = np.zeros(K, dtype=np.int64)
-    step = np.zeros(K, dtype=np.int64)
-    dist = np.zeros(K + 1)
-    partial = np.zeros((K, K))  # partial[i] = v minus contributions of levels > i
+    m = [0] * K
+    step = [0] * K
+    dist = [0.0] * (K + 1)
+    partial = [None] * K
     nodes = 0
     k = K - 1
-    partial[k] = v
+    partial[k] = v.tolist()
     center = partial[k][k] / diag[k]
     m[k] = round(center)
     step[k] = 1 if center >= m[k] else -1
@@ -241,7 +264,8 @@ def _se_enumerate(v, r_mat, best_cost, c0, budget):
                 step[k] = -step[k] - (1 if step[k] > 0 else -1)
             else:
                 dist[k] = nd
-                partial[k - 1] = partial[k] - m[k] * r_mat[:, k]
+                m_k = float(m[k])  # exact, and float * float is the fast path
+                partial[k - 1] = [p - m_k * r for p, r in zip(partial[k], cols[k])]
                 k -= 1
                 center = partial[k][k] / diag[k]
                 m[k] = round(center)
@@ -252,6 +276,8 @@ def _se_enumerate(v, r_mat, best_cost, c0, budget):
             k += 1
             m[k] += step[k]
             step[k] = -step[k] - (1 if step[k] > 0 else -1)
+    if best_w is not None:
+        best_w = np.array(best_w, dtype=np.int64)
     return best_w, nodes, exact
 
 
