@@ -9,9 +9,10 @@ search used as the test oracle.
 The two loops a fit spends its time in, the enumeration in _se_enumerate
 and the swap loop of lll_reduce, run on Python lists of floats and ints:
 each m[k] or mu[k, j] read of a numpy array pays numpy's per-scalar
-overhead, several times the arithmetic it feeds.  Every step is the same
-elementwise IEEE operation, in the same order, that the array form did, and
-round() keeps its half-to-even rule, so the outputs are the same bytes.
+overhead, several times the arithmetic it feeds.  Each step is the
+elementwise IEEE operation the equivalent array expression performs, in the
+same order, and round() rounds half to even like np.round, so the outputs
+are the bytes of the array formulation (tests/test_intsearch.py pins them).
 """
 
 from __future__ import annotations
