@@ -89,7 +89,7 @@ class DetectionResult:
 def is_degenerate(q, k: int) -> bool:
     """True when the perturbation touches no layer other than k."""
     q = np.asarray(q)
-    return bool(np.all(np.delete(q, k) == 0))
+    return not (q[:k].any() or q[k + 1 :].any())
 
 
 def optimize_alpha(q, k: int, tau: float, hplus) -> tuple[float, np.ndarray]:

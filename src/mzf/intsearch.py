@@ -173,8 +173,8 @@ def _qr_positive(mat):
     return q * sgn, (r.T * sgn).T
 
 
-def _best_of(problem: IlsProblem, candidates, exact: bool, nodes: int) -> IlsSolution:
-    costs = [problem.cost(q) for q in candidates]
+def _best_of(candidates, costs, exact: bool, nodes: int) -> IlsSolution:
+    """The first candidate of least cost; costs[i] is the cost of candidates[i]."""
     i = int(np.argmin(costs))
     return IlsSolution(
         q=np.asarray(candidates[i], dtype=np.int64),
@@ -215,18 +215,24 @@ def solve_sd(
     v = q_mat.T @ b
     c0 = max(float(b @ b - v @ v), 0.0)  # out-of-span residual
 
+    # every candidate's cost is evaluated once: zero, the rounding warm
+    # start in reduced coordinates, the reduction-based estimate and the
+    # enumeration's point
     candidates = [np.zeros(K, dtype=np.int64)]
-    # rounding warm start in reduced coordinates
+    costs = [float(b @ b)]
     w0 = np.round(np.linalg.solve(r_mat, v)).astype(np.int64)
     candidates.append(2 * (t @ w0))
+    costs.append(problem.cost(candidates[-1]))
     if cache is not None:
-        candidates.append(solve_lll(problem, cache).q)
-    best_cost = min(problem.cost(q) for q in candidates)
+        approx = _solve_lll(problem, cache)
+        candidates.append(approx.q)
+        costs.append(approx.cost)
 
-    w, nodes, exact = _se_enumerate(v, r_mat, best_cost, c0, budget)
+    w, nodes, exact = _se_enumerate(v, r_mat, min(costs), c0, budget)
     if w is not None:
         candidates.append(2 * (t @ w))
-    return _best_of(problem, candidates, exact, nodes)
+        costs.append(problem.cost(candidates[-1]))
+    return _best_of(candidates, costs, exact, nodes)
 
 
 def _se_enumerate(v, r_mat, best_cost, c0, budget):
@@ -349,8 +355,15 @@ def solve_lll(problem: IlsProblem, cache: ReducedBasis) -> IlsSolution:
     cache must be the reduction of B transposed (ValueError otherwise).
     """
     _check_cache(problem, cache)
+    return _solve_lll(problem, cache)
+
+
+def _solve_lll(problem: IlsProblem, cache: ReducedBasis) -> IlsSolution:
+    """solve_lll on a cache already checked against the problem."""
     z = quantize_int(cache.bbar_pinv @ problem.b)
     q_round = quantize_even_int((cache.t @ z).astype(float))
     zero = np.zeros(problem.B.shape[0], dtype=np.int64)
     unreduced = _unreduced_estimate(problem, cache.source_pinv)
-    return _best_of(problem, [q_round, unreduced, zero], exact=False, nodes=0)
+    candidates = [q_round, unreduced, zero]
+    costs = [problem.cost(q) for q in candidates]
+    return _best_of(candidates, costs, exact=False, nodes=0)

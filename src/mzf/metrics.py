@@ -84,11 +84,22 @@ class BerAccumulator:
         truth_bits = np.asarray(truth_bits)
         if truth_symbols.shape != result.symbols.shape or truth_bits.shape != result.bits.shape:
             raise ValueError("truth and result shapes do not match")
-        self.trials += 1
-        self.symbol_errors += int(np.sum(truth_symbols != result.symbols))
-        self.symbols_counted += truth_symbols.size
-        self.bit_errors += np.sum(truth_bits != result.bits, axis=0).astype(np.int64)
-        self.bits_counted += truth_bits.shape[0]
+        self._add(
+            1,
+            int(np.sum(truth_symbols != result.symbols)),
+            truth_symbols.size,
+            np.sum(truth_bits != result.bits, axis=0),
+            truth_bits.shape[0],
+        )
+
+    def _add(self, trials, symbol_errors, symbols_counted, bit_errors, bits_counted) -> None:
+        """The one count update: add trials, symbol errors and symbols, and
+        per-bit-layer errors and bits, to the cell."""
+        self.trials += trials
+        self.symbol_errors += symbol_errors
+        self.symbols_counted += symbols_counted
+        self.bit_errors += np.asarray(bit_errors, dtype=np.int64)
+        self.bits_counted += bits_counted
 
     def add_gains(self, trial: int, gains: list[LayerGain]) -> None:
         if gains:
@@ -99,11 +110,13 @@ class BerAccumulator:
     def merge(self, other: "BerAccumulator") -> None:
         if (self.k, self.nbits) != (other.k, other.nbits):
             raise ValueError("accumulator shapes do not match")
-        self.trials += other.trials
-        self.symbol_errors += other.symbol_errors
-        self.symbols_counted += other.symbols_counted
-        self.bit_errors += other.bit_errors
-        self.bits_counted += other.bits_counted
+        self._add(
+            other.trials,
+            other.symbol_errors,
+            other.symbols_counted,
+            other.bit_errors,
+            other.bits_counted,
+        )
         self.gain_entries.extend(other.gain_entries)
 
     @property

@@ -184,55 +184,80 @@ def _count_exhausted(det, spec: DetectorSpec) -> int:
     return sum(not p.exact for row in det.plans_ for p in row)
 
 
+def _gains(det) -> list:
+    return detector_gains(det) if hasattr(det, "plans_") else []
+
+
 def _run_trials(cfg: SimConfig, trial_indices) -> tuple[dict, np.ndarray, int]:
     """Process a batch of trials; returns accumulators keyed by
     (detector index, snr index), per-(detector, snr) wall times in ns, and
-    the number of budget-exhausted sphere searches."""
+    the number of budget-exhausted sphere searches.
+
+    A trial draws the symbols and noise of every SNR point first, then each
+    detector fitted once per trial detects all of them in one predict call;
+    a detector whose fit needs n0 is fitted and called once per point.
+    Errors are counted in arrays over (detector, snr) and added to the cells
+    once per batch.
+    """
     specs = [parse_detector_spec(s) for s in cfg.detectors]
     alphabet = make_alphabet(cfg.modulation)
-    n_snr = len(cfg.snr_db)
-    n0s = [snr_to_n0(s, alphabet) for s in cfg.snr_db]
-    acc: dict = {}
+    nbits = alphabet.nbits
+    n0s = [snr_to_n0(s, alphabet).n0 for s in cfg.snr_db]
+    n_snr = len(n0s)
+    k = 2 * cfg.kc if cfg.kc is not None else cfg.k_real
+    acc = {
+        (d_idx, s_idx): BerAccumulator(k=k, nbits=nbits)
+        for d_idx in range(len(specs))
+        for s_idx in range(n_snr)
+    }
+    symbol_errors = np.zeros((len(specs), n_snr), dtype=np.int64)
+    bit_errors = np.zeros((len(specs), n_snr, nbits), dtype=np.int64)
     times = np.zeros((len(specs), n_snr), dtype=np.int64)
     exhausted = 0
 
     for trial in trial_indices:
         rng = np.random.default_rng([cfg.seed, trial])
         h = _trial_channel(cfg, rng)
-        k = h.shape[1]
-        draws = []
-        for _ in range(n_snr):
-            x = random_symbols(rng, alphabet, k)
-            noise = rng.standard_normal(h.shape[0])
-            draws.append((x, noise))
-        truths = [(x, symbol_to_bits(x, alphabet.nbits)) for x, _ in draws]
+        x = np.empty((n_snr, k))
+        y = np.empty((n_snr, h.shape[0]))
+        for s_idx, n0 in enumerate(n0s):
+            x[s_idx] = random_symbols(rng, alphabet, k)
+            y[s_idx] = h @ x[s_idx] + np.sqrt(n0 / 2.0) * rng.standard_normal(h.shape[0])
+        truth_bits = symbol_to_bits(x, nbits)
 
         for d_idx, spec in enumerate(specs):
             det = build_detector(spec, cfg)
-            fit_shared = not _noise_dependent(spec)
-            t0 = time.perf_counter_ns()
-            if fit_shared:
-                det.fit(h)
-                gains = detector_gains(det) if hasattr(det, "plans_") else []
-                exhausted += _count_exhausted(det, spec)
-            shared_cost_ns = time.perf_counter_ns() - t0 if fit_shared else 0
-            for s_idx in range(n_snr):
-                t1 = time.perf_counter_ns()
-                if not fit_shared:
-                    det.fit(h, n0=n0s[s_idx].n0)
-                    gains = detector_gains(det) if hasattr(det, "plans_") else []
+            if _noise_dependent(spec):
+                symbols = np.empty_like(x)
+                for s_idx, n0 in enumerate(n0s):
+                    t0 = time.perf_counter_ns()
+                    det.fit(h, n0=n0)
+                    gains = _gains(det)
                     exhausted += _count_exhausted(det, spec)
-                x, noise = draws[s_idx]
-                y = h @ x + np.sqrt(n0s[s_idx].n0 / 2.0) * noise
-                result = det.detect(y)
-                times[d_idx, s_idx] += time.perf_counter_ns() - t1
-                cell = acc.get((d_idx, s_idx))
-                if cell is None:
-                    cell = BerAccumulator(k=k, nbits=alphabet.nbits)
-                    acc[(d_idx, s_idx)] = cell
-                cell.accumulate(truths[s_idx][0], truths[s_idx][1], result)
-                cell.add_gains(trial, gains)
-            times[d_idx, :] += shared_cost_ns // n_snr
+                    symbols[s_idx] = det.predict(y[s_idx])
+                    times[d_idx, s_idx] += time.perf_counter_ns() - t0
+                    acc[(d_idx, s_idx)].add_gains(trial, gains)
+            else:
+                t0 = time.perf_counter_ns()
+                det.fit(h)
+                gains = _gains(det)
+                exhausted += _count_exhausted(det, spec)
+                symbols = det.predict(y)
+                times[d_idx] += (time.perf_counter_ns() - t0) // n_snr
+                for s_idx in range(n_snr):
+                    acc[(d_idx, s_idx)].add_gains(trial, gains)
+            symbol_errors[d_idx] += np.sum(symbols != x, axis=1)
+            bit_errors[d_idx] += np.sum(symbol_to_bits(symbols, nbits) != truth_bits, axis=1)
+
+    n_trials = len(trial_indices)
+    for (d_idx, s_idx), cell in acc.items():
+        cell._add(
+            n_trials,
+            int(symbol_errors[d_idx, s_idx]),
+            n_trials * k,
+            bit_errors[d_idx, s_idx],
+            n_trials * k,
+        )
     return acc, times, exhausted
 
 
@@ -286,38 +311,30 @@ def run_experiment(cfg: SimConfig) -> list[SimRecord]:
             file=sys.stderr,
         )
 
-    alphabet = make_alphabet(cfg.modulation)
+    nbits = make_alphabet(cfg.modulation).nbits
+    bit_layers = [str(j) for j in range(1, nbits + 1)] + ["all"]
     specs = [parse_detector_spec(s) for s in cfg.detectors]
     records = []
     for d_idx, spec in enumerate(specs):
         for s_idx, snr in enumerate(cfg.snr_db):
             cell = acc[(d_idx, s_idx)]
             ms = int(times[d_idx, s_idx] // 1_000_000) if cfg.timing else 0
-            for bit_layer in range(1, alphabet.nbits + 1):
+            ser = float(cell.ser)
+            gain = float(cell.mean_gain_db)
+            bers = [float(cell.ber_layer(j)) for j in range(1, nbits + 1)] + [float(cell.ber)]
+            for bit_layer, ber in zip(bit_layers, bers):
                 records.append(
                     SimRecord(
                         detector=spec.label,
                         snr_db=float(snr),
-                        bit_layer=str(bit_layer),
-                        ber=float(cell.ber_layer(bit_layer)),
-                        ser=float(cell.ser),
-                        mean_gain_db=float(cell.mean_gain_db),
+                        bit_layer=bit_layer,
+                        ber=ber,
+                        ser=ser,
+                        mean_gain_db=gain,
                         trials=cell.trials,
                         wall_time_ms=ms,
                     )
                 )
-            records.append(
-                SimRecord(
-                    detector=spec.label,
-                    snr_db=float(snr),
-                    bit_layer="all",
-                    ber=float(cell.ber),
-                    ser=float(cell.ser),
-                    mean_gain_db=float(cell.mean_gain_db),
-                    trials=cell.trials,
-                    wall_time_ms=ms,
-                )
-            )
     return records
 
 

@@ -1,11 +1,13 @@
 """Monte Carlo runner tests: determinism, pairing, record emission."""
 
+import collections
 import dataclasses
 import hashlib
 import json
 
 import pytest
 
+from mzf.detect import MimoDetector
 from mzf.simulate import (
     CSV_COLUMNS,
     SimConfig,
@@ -136,6 +138,43 @@ class TestRunExperiment:
         monkeypatch.setenv("MZF_THREADS", "two")
         with pytest.raises(ValueError, match="MZF_THREADS.*'two'"):
             run_experiment(dataclasses.replace(BASE, workers=2))
+
+
+class TestBatching:
+    def test_one_predict_per_trial_and_fit(self, monkeypatch):
+        # a detector fitted once per trial detects every SNR point in one
+        # predict; one whose fit needs n0 is fitted and called per point
+        calls = collections.Counter()
+
+        def counted(method):
+            original = getattr(MimoDetector, method)
+
+            def wrapper(self, *args, **kwargs):
+                calls[type(self).__name__, method] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(MimoDetector, method, wrapper)
+
+        for method in ("fit", "predict", "detect"):
+            counted(method)
+        trials, points = 5, 3
+        cfg = dataclasses.replace(
+            BASE,
+            snr_db=(4.0, 10.0, 16.0),
+            trials=trials,
+            detectors=("zf", "mzf:sd", "lmmse", "ml", "mzf+lmmse:sd"),
+        )
+        run_experiment(cfg)
+        assert calls == {
+            ("ZFDetector", "fit"): trials,
+            ("ZFDetector", "predict"): trials,
+            ("MLDetector", "fit"): trials,
+            ("MLDetector", "predict"): trials,
+            ("MZFDetector", "fit"): trials + trials * points,
+            ("MZFDetector", "predict"): trials + trials * points,
+            ("LMMSEDetector", "fit"): trials * points,
+            ("LMMSEDetector", "predict"): trials * points,
+        }
 
 
 class TestEmit:
