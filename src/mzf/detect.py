@@ -89,6 +89,8 @@ class DetectionResult:
 def is_degenerate(q, k: int) -> bool:
     """True when the perturbation touches no layer other than k."""
     q = np.asarray(q)
+    # as with np.delete, a negative k counts from the end and k out of range raises
+    k = range(q.size)[k]
     return not (q[:k].any() or q[k + 1 :].any())
 
 

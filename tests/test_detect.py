@@ -465,6 +465,12 @@ class TestIsDegenerate:
     def test_cross_entry(self):
         assert not is_degenerate(np.array([0, 0, 2, 0]), 1)
 
+    def test_layer_index_reads_like_a_sequence_index(self):
+        q = np.array([0, 0, 0, 2])
+        assert is_degenerate(q, -1) and not is_degenerate(q, -2)
+        with pytest.raises(IndexError):
+            is_degenerate(q, 4)
+
 
 class TestParityModes:
     def test_paper_literal_mode_runs(self):
