@@ -590,3 +590,46 @@ class TestBlockDetection:
         assert det.predict_bits(Y_REF).shape == (4, 2)
         assert det.detect(Y_REF).layer_z.shape == (4, 2)
         assert det.predict(np.stack([Y_REF] * 3)).shape == (3, 4)
+
+
+def _fit_grid():
+    """Fitted modulus detectors: solvers sd and lll, every variant and
+    equalizer setting on one kc = 3 and one real K = 8 channel at
+    M = 4, 16, 64; brute on a real K = 4 channel; and a starved sd_budget=50
+    fit on a real K = 12 channel whose plans partly come back inexact."""
+    rng = np.random.default_rng(41)
+    equalizers = (("zf", "printed"), ("lmmse", "printed"), ("lmmse", "physical"))
+    for h in (embed_complex(generate_channel(rng, 3)), generate_real_channel(rng, 8)):
+        for m in (4, 16, 64):
+            n0 = snr_to_n0(20.0, make_alphabet(m)).n0
+            for solver in ("sd", "lll"):
+                for variant in MZF_VARIANTS:
+                    for equalizer, weighting in equalizers:
+                        det = MZFDetector(
+                            m, variant, solver, equalizer, noise_weighting=weighting
+                        )
+                        yield det.fit(h, n0=n0)
+    h = generate_real_channel(rng, 4)
+    for m in (4, 16, 64):
+        for variant in MZF_VARIANTS:
+            yield MZFDetector(m, variant, solver="brute").fit(h)
+    yield MZFDetector(4, sd_budget=50).fit(generate_real_channel(rng, 12))
+
+
+class TestFitPinned:
+    # sha256 over every plan field a fit produces and the gains read off the
+    # plans, made with one IlsProblem and one search call per layer
+    DIGEST = "b5a24f92e7b8d61f63c59ee0061ccdf732be2744e23b51edd3a5cd93e5284a7d"
+
+    def test_plans_and_gains_pinned(self):
+        digest = hashlib.sha256()
+        inexact = 0
+        for det in _fit_grid():
+            for plan in (p for row in det.plans_ for p in row):
+                digest.update(plan.q.tobytes() + plan.combining_row.tobytes())
+                digest.update(repr((plan.cost, plan.alpha, plan.degenerate)).encode())
+                digest.update(repr((plan.parity.half_q_sum, plan.exact, plan.nodes)).encode())
+                inexact += det.solver == "sd" and not plan.exact
+            digest.update(repr(detector_gains(det)).encode())
+        assert inexact > 0
+        assert digest.hexdigest() == self.DIGEST
