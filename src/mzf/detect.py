@@ -13,7 +13,7 @@ takes an n_obs x N block; detect() is a block of one row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -34,13 +34,14 @@ from .channel import (
 )
 from .intsearch import (
     IlsProblem,
+    _lll_rows,
+    _solve_sd_rows,
     check_lll_delta,
     lll_reduce,
     solve_brute,
-    solve_lll,
-    solve_sd,
 )
 from .modarith import ParityContext, branch_parity, mod_recover_each
+from .rowwise import apply, dots, times
 
 MZF_VARIANTS = ("plain", "scaled-alpha", "bitwise", "feedback")
 SOLVERS = ("sd", "lll", "brute")
@@ -134,14 +135,6 @@ def _check_choice(name: str, value, allowed: tuple) -> None:
         raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
-def _apply(a, y):
-    """a @ row for every row of an n_obs x N block: one matrix-vector
-    product per row, so a block gives the bytes of its rows one by one
-    (y @ a.T would run GEMM, whose summation order moves results by an
-    ulp)."""
-    return np.matmul(a, y[..., None])[..., 0]
-
-
 class MimoDetector:
     """Base class wiring the estimator conventions; subclasses implement
     _fit(h, n0) and _block(y), and may override _validate_params()."""
@@ -215,7 +208,7 @@ class ZFDetector(MimoDetector):
         self.hplus_ = pseudo_inverse(h)
 
     def _block(self, y):
-        est = _apply(self.hplus_, y)
+        est = apply(self.hplus_, y)
         symbols = quantize_pam(est, self.alphabet_)
         return symbols, symbol_to_bits(symbols, self.alphabet_.nbits), est
 
@@ -293,11 +286,11 @@ class LARDetector(MimoDetector):
     def _block(self, y):
         t = self.reduction_.t
         if self.mode == "shifted":
-            z = quantize_int(_apply(self.hbar_inv_, (y + self.shift_) / 2.0))
-            raw = (2 * _apply(t, z) - 1).astype(float)
+            z = quantize_int(apply(self.hbar_inv_, (y + self.shift_) / 2.0))
+            raw = (2 * apply(t, z) - 1).astype(float)
         else:
-            z = quantize_int(_apply(self.hbar_inv_, y))
-            raw = _apply(t, z).astype(float)
+            z = quantize_int(apply(self.hbar_inv_, y))
+            raw = apply(t, z).astype(float)
         symbols = quantize_pam(raw, self.alphabet_)
         return symbols, symbol_to_bits(symbols, self.alphabet_.nbits), raw
 
@@ -322,11 +315,11 @@ class MZFDetector(MimoDetector):
     block weight of the residual matrix: "printed" uses n0, "physical"
     the amplitude-correct sqrt(n0 / 2).
 
-    Besides the per-layer plans_, fit stacks what detection reads into
-    arrays over (stage, layer), a stage being one bit layer of the bitwise
-    variant and the only one otherwise: the combining rows comb_
-    (stages x K x N), the fold scales alpha_, the degenerate_ mask and
-    parity_, True where a plan's half_q_sum is odd.
+    fit searches every (stage, layer) in one row search and plans in arrays
+    over (stage, layer), a stage being one bit layer of the bitwise variant
+    and the only one otherwise: the combining rows comb_ (stages x K x N),
+    the fold scales alpha_, the degenerate_ mask and parity_, True where a
+    plan's half_q_sum is odd; the per-layer plans_ are read off them.
     """
 
     def __init__(
@@ -386,62 +379,55 @@ class MZFDetector(MimoDetector):
         else:
             stages = [(0, alphabet.tau)]
 
-        plans = []
-        for layer in range(k):
-            per_layer = []
-            for bit_layer, tau in stages:
-                per_layer.append(
-                    self._plan_layer(layer, bit_layer, tau, effective, basis)
-                )
-            plans.append(per_layer)
-        self.plans_ = plans
-
-        def stacked(field):
-            # stages x K array of one plan field
-            return np.array([[field(p) for p in stage] for stage in zip(*plans)])
-
-        self.comb_ = stacked(lambda p: p.combining_row)
-        self.alpha_ = stacked(lambda p: p.alpha)
-        self.degenerate_ = stacked(lambda p: p.degenerate)
-        self.parity_ = stacked(lambda p: p.parity.half_q_sum % 2 == 1)
-
-    def _plan_layer(self, layer, bit_layer, tau, effective, basis) -> PerturbationPlan:
-        problem = IlsProblem(tau * effective[layer], basis)
+        # one search row per (stage, layer), stage-major
+        tau = np.array([t for _, t in stages])[:, None, None]
+        targets = (tau * effective).reshape(-1, effective.shape[1])
         if self.solver == "sd":
-            sol = solve_sd(problem, self.sd_budget, self.reduction_)
+            q, _, exact, nodes = _solve_sd_rows(
+                targets, basis, self.sd_budget, self.reduction_
+            )
         elif self.solver == "lll":
-            sol = solve_lll(problem, self.reduction_)
+            q, _, exact, nodes = _lll_rows(targets, basis, self.reduction_)
         else:
-            sol = solve_brute(problem, self.brute_bound)
-        q = sol.q
-        degenerate = is_degenerate(q, layer)
-        alpha = 1.0
-        if degenerate:
-            # self-only perturbations never beat q = 0 when tau <= 1; keep the
-            # plain equalizer row so degenerate layers match ZF bit for bit
-            q = np.zeros_like(q)
-            combining = tau * self.hplus_[layer]
-            cost = problem.cost(q)
-        else:
-            if self.variant == "scaled-alpha":
-                alpha, q = optimize_alpha(q, layer, tau, self.hplus_)
-            combining = tau * self.hplus_[layer] + alpha * (q @ self.hplus_)
-            cost_row = tau * effective[layer] + alpha * (q @ effective)
-            cost = float(cost_row @ cost_row)
-        nlayers = self.alphabet_.nbits if bit_layer else 1
-        return PerturbationPlan(
-            layer=layer,
-            bit_layer=bit_layer,
-            q=q,
-            tau=tau,
-            alpha=alpha,
-            combining_row=combining,
-            degenerate=degenerate,
-            parity=ParityContext(int(q.sum()) // 2, bit_layer, nlayers),
-            cost=cost,
-            exact=sol.exact,
-            nodes=sol.nodes_visited,
+            sols = [solve_brute(IlsProblem(b, basis), self.brute_bound) for b in targets]
+            q, _, exact, nodes = map(np.array, zip(*(astuple(sol) for sol in sols)))
+        shape = (len(stages), k)
+        q, exact, nodes = q.reshape(*shape, k), exact.reshape(shape), nodes.reshape(shape)
+        # a perturbation touching no other layer never beats q = 0 when
+        # tau <= 1; such a layer keeps the plain equalizer row, so it
+        # matches ZF bit for bit
+        off_diagonal = q.astype(bool) & ~np.eye(k, dtype=bool)
+        self.degenerate_ = degenerate = ~off_diagonal.any(axis=-1)
+        q[degenerate] = 0
+        self.alpha_ = alpha = np.ones(shape)
+        if self.variant == "scaled-alpha":
+            for s, layer in zip(*np.nonzero(~degenerate)):
+                alpha[s, layer], q[s, layer] = optimize_alpha(
+                    q[s, layer], layer, stages[s][1], self.hplus_
+                )
+        plain = tau * self.hplus_
+        qf, scale = q.astype(float), alpha[..., None]
+        self.comb_ = np.where(
+            degenerate[..., None], plain, plain + scale * times(qf, self.hplus_)
         )
+        targets = targets.reshape(*shape, -1)
+        resid = targets + scale * times(qf, effective)
+        cost = np.where(degenerate, dots(targets, targets), dots(resid, resid))
+        half_q_sum = q.sum(axis=-1) // 2
+        self.parity_ = half_q_sum % 2 == 1
+
+        nlayers = alphabet.nbits if self.variant == "bitwise" else 1
+        fields = (alpha, degenerate, half_q_sum, cost, exact, nodes)
+        plans = [[] for _ in range(k)]
+        for i, row in enumerate(zip(*(f.ravel().tolist() for f in fields))):
+            s, layer = divmod(i, k)
+            bit_layer, tau_s = stages[s]
+            a, degen, half, cost_i, exact_i, nodes_i = row
+            plans[layer].append(PerturbationPlan(
+                layer, bit_layer, q[s, layer], tau_s, a, self.comb_[s, layer], degen,
+                ParityContext(half, bit_layer, nlayers), cost_i, exact_i, nodes_i,
+            ))
+        self.plans_ = plans
 
     def _block(self, y):
         """Detect every row of an n_obs x N block at once.
@@ -473,9 +459,9 @@ class MZFDetector(MimoDetector):
                 # under the paper-literal branch rule
                 bypass = self.degenerate_[0] & (literal or n == nbits)
                 z[:, :, j] = self._stage(y, 0, n, bypass)
-                # subtract the decided bits, one matrix-vector product per row
+                # subtract the decided bits
                 b = np.where(z[:, :, j] >= 0, 1.0, -1.0)
-                y = (y - np.matmul(self.h_, b[..., None])[..., 0]) / 2.0
+                y = (y - apply(self.h_, b)) / 2.0
         bits = np.where(z >= 0, 1, -1)
         return bits_to_symbol(bits).astype(float), bits, z
 

@@ -13,6 +13,13 @@ overhead, several times the arithmetic it feeds.  Each step is the
 elementwise IEEE operation the equivalent array expression performs, in the
 same order, and round() rounds half to even like np.round, so the outputs
 are the bytes of the array formulation (tests/test_intsearch.py pins them).
+
+A fit searches K targets (one per layer and stage) on one basis, so the row
+search _solve_sd_rows takes a block of targets: the warm starts, the
+reduction-based estimates and every candidate cost are computed for all rows
+at once, each row by the BLAS call one target alone makes (see rowwise), and
+only the enumeration runs row by row.  solve_sd and solve_lll are its
+one-row calls.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .alphabet import quantize_even_int, quantize_int
+from .rowwise import apply, dots, times
 
 BRUTE_MAX_POINTS = 10**8
 
@@ -173,17 +181,6 @@ def _qr_positive(mat):
     return q * sgn, (r.T * sgn).T
 
 
-def _best_of(candidates, costs, exact: bool, nodes: int) -> IlsSolution:
-    """The first candidate of least cost; costs[i] is the cost of candidates[i]."""
-    i = int(np.argmin(costs))
-    return IlsSolution(
-        q=np.asarray(candidates[i], dtype=np.int64),
-        cost=costs[i],
-        exact=exact,
-        nodes_visited=nodes,
-    )
-
-
 def solve_sd(
     problem: IlsProblem,
     budget: int = 10**6,
@@ -201,42 +198,73 @@ def solve_sd(
     otherwise); it tightens the enumeration dramatically and is shared,
     factorizations included, across all layers of one coherence interval.
     """
+    return _first(_solve_sd_rows(problem.b[None], problem.B, budget, cache))
+
+
+def _solve_sd_rows(targets, B, budget, cache):
+    """solve_sd on every row of the R x ncols block targets against one B
+    (see the module docstring); returns (q, cost, exact, nodes) arrays."""
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    b, B = problem.b, problem.B
-    K = B.shape[0]
+    rows, K = len(targets), B.shape[0]
     if cache is None:
         q_mat, r_mat = _qr_positive(2.0 * B.T)
         t = np.eye(K, dtype=np.int64)
     else:
-        _check_cache(problem, cache)
+        _check_cache(B, cache)
         q_mat, r_mat = cache.doubled_qr
         t = cache.t
-    v = q_mat.T @ b
-    c0 = max(float(b @ b - v @ v), 0.0)  # out-of-span residual
+    v = apply(q_mat.T, targets)
+    bb = dots(targets, targets)
+    c0 = np.maximum(bb - dots(v, v), 0.0)  # out-of-span residual
 
-    # every candidate's cost is evaluated once: zero, the rounding warm
-    # start in reduced coordinates, the reduction-based estimate and the
-    # enumeration's point
-    candidates = [np.zeros(K, dtype=np.int64)]
-    costs = [float(b @ b)]
-    w0 = np.round(np.linalg.solve(r_mat, v)).astype(np.int64)
-    candidates.append(2 * (t @ w0))
-    costs.append(problem.cost(candidates[-1]))
+    # every candidate's cost is evaluated once, in the order zero, the
+    # rounding warm start in reduced coordinates, the reduction-based
+    # estimate and the enumeration's point; without a cache the estimate
+    # is absent and costs inf, and where the enumeration finds nothing its
+    # point stays zero, which ties the first candidate and never wins
+    q = np.zeros((rows, 4, K), dtype=np.int64)
+    cost = np.full((rows, 4), np.inf)
+    cost[:, 0] = bb
+    w0 = np.round(np.linalg.solve(r_mat, v[..., None])[..., 0]).astype(np.int64)
+    q[:, 1] = 2 * apply(t, w0)
+    cost[:, 1] = _cost(targets, B, q[:, 1])
     if cache is not None:
-        approx = _solve_lll(problem, cache)
-        candidates.append(approx.q)
-        costs.append(approx.cost)
+        q[:, 2], cost[:, 2] = _lll_rows(targets, B, cache)[:2]
 
-    w, nodes, exact = _se_enumerate(v, r_mat, min(costs), c0, budget)
-    if w is not None:
-        candidates.append(2 * (t @ w))
-        costs.append(problem.cost(candidates[-1]))
-    return _best_of(candidates, costs, exact, nodes)
+    w = np.zeros((rows, K), dtype=np.int64)
+    exact = np.zeros(rows, dtype=bool)
+    nodes = np.zeros(rows, dtype=np.int64)
+    for i, (best, c0_i) in enumerate(zip(cost.min(axis=1).tolist(), c0.tolist())):
+        w[i], nodes[i], exact[i] = _se_enumerate(v[i], r_mat, best, c0_i, budget)
+    q[:, 3] = 2 * apply(t, w)
+    cost[:, 3] = _cost(targets, B, q[:, 3])
+    return _least(q, cost) + (exact, nodes)
+
+
+def _cost(targets, B, q):
+    """||b - q B||^2 for every row pair of targets and q."""
+    r = targets - times(q.astype(float), B)
+    return dots(r, r)
+
+
+def _least(q, cost):
+    """(q, cost) of the first least-cost candidate of every row of the
+    rows x candidates x K block q."""
+    pick = np.argmin(cost, axis=1)
+    rows = np.arange(len(pick))
+    return q[rows, pick], cost[rows, pick]
+
+
+def _first(rows) -> IlsSolution:
+    """The first row of (q, cost, exact, nodes) arrays as an IlsSolution."""
+    q, cost, exact, nodes = (a[0] for a in rows)
+    return IlsSolution(q, float(cost), bool(exact), int(nodes))
 
 
 def _se_enumerate(v, r_mat, best_cost, c0, budget):
-    """Depth-first enumeration core; returns (best coeffs or None, nodes, exact).
+    """Depth-first enumeration core; returns (best coeffs, nodes, exact), the
+    coeffs all zero when no point beats best_cost.
 
     partial[i] is v minus the contributions of levels > i; only its first
     i + 1 entries are ever read, so a descent to level k - 1 builds just k.
@@ -244,7 +272,7 @@ def _se_enumerate(v, r_mat, best_cost, c0, budget):
     K = v.size
     cols = [r_mat[:k, k].tolist() for k in range(K)]  # above the diagonal
     diag = np.diag(r_mat).tolist()
-    best_w = None
+    best_w = [0] * K
     m = [0] * K
     step = [0] * K
     dist = [0.0] * (K + 1)
@@ -283,8 +311,6 @@ def _se_enumerate(v, r_mat, best_cost, c0, budget):
             k += 1
             m[k] += step[k]
             step[k] = -step[k] - (1 if step[k] > 0 else -1)
-    if best_w is not None:
-        best_w = np.array(best_w, dtype=np.int64)
     return best_w, nodes, exact
 
 
@@ -327,17 +353,10 @@ def solve_brute(problem: IlsProblem, bound: int = 8) -> IlsSolution:
     return IlsSolution(q=best_q, cost=best_cost, exact=True, nodes_visited=n_points)
 
 
-def _check_cache(problem: IlsProblem, cache: ReducedBasis) -> None:
+def _check_cache(B, cache: ReducedBasis) -> None:
     # a reduction of another matrix searches the wrong lattice
-    if not np.array_equal(cache.source, problem.B.T):
+    if not np.array_equal(cache.source, B.T):
         raise ValueError("cache is not the reduction of this problem's B transposed")
-
-
-def _unreduced_estimate(problem: IlsProblem, b_pinv: np.ndarray) -> np.ndarray:
-    """Round-then-snap estimate without any basis reduction; b_pinv is
-    pinv(B transposed)."""
-    z = quantize_int(b_pinv @ problem.b)
-    return quantize_even_int(z.astype(float))
 
 
 def solve_lll(problem: IlsProblem, cache: ReducedBasis) -> IlsSolution:
@@ -354,16 +373,20 @@ def solve_lll(problem: IlsProblem, cache: ReducedBasis) -> IlsSolution:
 
     cache must be the reduction of B transposed (ValueError otherwise).
     """
-    _check_cache(problem, cache)
-    return _solve_lll(problem, cache)
+    _check_cache(problem.B, cache)
+    return _first(_lll_rows(problem.b[None], problem.B, cache))
 
 
-def _solve_lll(problem: IlsProblem, cache: ReducedBasis) -> IlsSolution:
-    """solve_lll on a cache already checked against the problem."""
-    z = quantize_int(cache.bbar_pinv @ problem.b)
-    q_round = quantize_even_int((cache.t @ z).astype(float))
-    zero = np.zeros(problem.B.shape[0], dtype=np.int64)
-    unreduced = _unreduced_estimate(problem, cache.source_pinv)
-    candidates = [q_round, unreduced, zero]
-    costs = [problem.cost(q) for q in candidates]
-    return _best_of(candidates, costs, exact=False, nodes=0)
+def _lll_rows(targets, B, cache: ReducedBasis):
+    """solve_lll on every row of targets, on a cache already checked against
+    B; returns (q, cost, exact, nodes) arrays as _solve_sd_rows does."""
+    rows, K = len(targets), B.shape[0]
+    # candidates: reduced rounding, unreduced rounding, zero
+    q = np.zeros((rows, 3, K), dtype=np.int64)
+    z = quantize_int(apply(cache.bbar_pinv, targets))
+    q[:, 0] = quantize_even_int(apply(cache.t, z).astype(float))
+    z = quantize_int(apply(cache.source_pinv, targets))
+    q[:, 1] = quantize_even_int(z.astype(float))
+    cost = np.stack([_cost(targets, B, q[:, j]) for j in range(3)], axis=1)
+    zeros = np.zeros(rows, dtype=np.int64)
+    return _least(q, cost) + (zeros.astype(bool), zeros)

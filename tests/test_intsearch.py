@@ -18,6 +18,8 @@ from mzf.channel import (
 )
 from mzf.intsearch import (
     IlsProblem,
+    _lll_rows,
+    _solve_sd_rows,
     lll_reduce,
     solve_brute,
     solve_lll,
@@ -163,6 +165,44 @@ class TestSearchPinned:
         # best point at the cut are pinned as well
         want = "1102e139aa1ec29d6a7de0262bae8b6f0ea52833e7d35036e6f32cc6ce6c8bba"
         assert search_digest(16, 1.0, 2, budget=50) == want
+
+
+def stacked_layers(k):
+    """(targets, basis, cache): the K layer targets of a real K x K ZF
+    problem at tau = 0.5, stacked, with the basis and its reduction."""
+    hplus = pseudo_inverse(generate_real_channel(np.random.default_rng([23, k]), k))
+    return 0.5 * hplus, -hplus, lll_reduce(-hplus.T)
+
+
+def assert_rows_match(rows, solutions):
+    q, cost, exact, nodes = rows
+    assert len(q) == len(solutions)
+    for i, sol in enumerate(solutions):
+        assert q[i].tobytes() == sol.q.tobytes()
+        assert repr(float(cost[i])) == repr(sol.cost)
+        assert (bool(exact[i]), int(nodes[i])) == (sol.exact, sol.nodes_visited)
+
+
+class TestRowSearch:
+    # the row search computes everything but the enumeration for all rows at
+    # once; each row must still give the bytes of its own one-row search,
+    # also where budget 50 cuts the enumeration short
+
+    @pytest.mark.parametrize("k", [6, 12, 24])
+    @pytest.mark.parametrize("budget", [50, 10**6])
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_sd_rows_equal_one_row_searches(self, k, budget, cached):
+        targets, basis, cache = stacked_layers(k)
+        cache = cache if cached else None
+        rows = _solve_sd_rows(targets, basis, budget, cache)
+        solutions = [solve_sd(IlsProblem(b, basis), budget, cache) for b in targets]
+        assert_rows_match(rows, solutions)
+
+    @pytest.mark.parametrize("k", [6, 12, 24])
+    def test_lll_rows_equal_one_row_estimates(self, k):
+        targets, basis, cache = stacked_layers(k)
+        rows = _lll_rows(targets, basis, cache)
+        assert_rows_match(rows, [solve_lll(IlsProblem(b, basis), cache) for b in targets])
 
 
 class TestSolveBrute:
