@@ -52,10 +52,6 @@ class IlsProblem:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "B", B)
 
-    def cost(self, q) -> float:
-        r = self.b - np.asarray(q, dtype=float) @ self.B
-        return float(r @ r)
-
 
 @dataclass(frozen=True)
 class ReducedBasis:
