@@ -35,7 +35,6 @@ from .detect import (
     MimoDetector,
     PerturbationPlan,
     ZFDetector,
-    is_degenerate,
     optimize_alpha,
 )
 from .intsearch import (
@@ -47,7 +46,7 @@ from .intsearch import (
     solve_lll,
     solve_sd,
 )
-from .metrics import BerAccumulator, LayerGain, detector_gains, post_snr, snr_to_n0
+from .metrics import BerAccumulator, LayerGain, detector_gains, snr_to_n0
 from .modarith import ParityContext, branch_parity, mod_recover
 from .simulate import (
     SimConfig,
@@ -86,7 +85,6 @@ __all__ = [
     "MimoDetector",
     "PerturbationPlan",
     "ZFDetector",
-    "is_degenerate",
     "optimize_alpha",
     "IlsProblem",
     "IlsSolution",
@@ -98,7 +96,6 @@ __all__ = [
     "BerAccumulator",
     "LayerGain",
     "detector_gains",
-    "post_snr",
     "snr_to_n0",
     "ParityContext",
     "branch_parity",

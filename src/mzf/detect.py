@@ -53,7 +53,7 @@ LAR_MODES = ("shifted", "literal")
 
 @dataclass(frozen=True)
 class PerturbationPlan:
-    """Per-layer preprocessing result for the modulus detectors.
+    """One (stage, layer) entry of a fitted MZFDetector's arrays.
 
     q is the even perturbation (all zero when the layer is degenerate) and
     combining_row is (tau * delta_k + alpha * q) @ Hplus precomputed, the
@@ -85,14 +85,6 @@ class DetectionResult:
     symbols: np.ndarray
     bits: np.ndarray
     layer_z: np.ndarray
-
-
-def is_degenerate(q, k: int) -> bool:
-    """True when the perturbation touches no layer other than k."""
-    q = np.asarray(q)
-    # as with np.delete, a negative k counts from the end and k out of range raises
-    k = range(q.size)[k]
-    return not (q[:k].any() or q[k + 1 :].any())
 
 
 def optimize_alpha(q, k: int, tau: float, hplus) -> tuple[float, np.ndarray]:
@@ -315,11 +307,13 @@ class MZFDetector(MimoDetector):
     block weight of the residual matrix: "printed" uses n0, "physical"
     the amplitude-correct sqrt(n0 / 2).
 
-    fit searches every (stage, layer) in one row search and plans in arrays
-    over (stage, layer), a stage being one bit layer of the bitwise variant
-    and the only one otherwise: the combining rows comb_ (stages x K x N),
-    the fold scales alpha_, the degenerate_ mask and parity_, True where a
-    plan's half_q_sum is odd; the per-layer plans_ are read off them.
+    fit searches every (stage, layer) in one row search, a stage being one
+    bit layer of the bitwise variant and the only one otherwise, and keeps
+    its result as arrays only: the stage scales tau_ (stages), the even
+    perturbations q_ (stages x K x K), the combining rows comb_
+    (stages x K x N), and over (stage, layer) the fold scales alpha_, the
+    degenerate_ mask, parity_ (True where half the sum of q is odd), the
+    search costs cost_, exact_ and the search nodes_.
     """
 
     def __init__(
@@ -373,14 +367,14 @@ class MZFDetector(MimoDetector):
         self.reduction_ = lll_reduce(basis.T, self.lll_delta)
 
         if self.variant == "bitwise":
-            stages = [(n, 2.0 ** (1 - n)) for n in range(1, alphabet.nbits + 1)]
+            self.tau_ = 0.5 ** np.arange(alphabet.nbits)
         elif self.variant == "feedback":
-            stages = [(0, 1.0)]
+            self.tau_ = np.ones(1)
         else:
-            stages = [(0, alphabet.tau)]
+            self.tau_ = np.array([alphabet.tau])
 
         # one search row per (stage, layer), stage-major
-        tau = np.array([t for _, t in stages])[:, None, None]
+        tau = self.tau_[:, None, None]
         targets = (tau * effective).reshape(-1, effective.shape[1])
         if self.solver == "sd":
             q, _, exact, nodes = _solve_sd_rows(
@@ -391,8 +385,9 @@ class MZFDetector(MimoDetector):
         else:
             sols = [solve_brute(IlsProblem(b, basis), self.brute_bound) for b in targets]
             q, _, exact, nodes = map(np.array, zip(*(astuple(sol) for sol in sols)))
-        shape = (len(stages), k)
-        q, exact, nodes = q.reshape(*shape, k), exact.reshape(shape), nodes.reshape(shape)
+        shape = (len(self.tau_), k)
+        self.q_ = q = q.reshape(*shape, k)
+        self.exact_, self.nodes_ = exact.reshape(shape), nodes.reshape(shape)
         # a perturbation touching no other layer never beats q = 0 when
         # tau <= 1; such a layer keeps the plain equalizer row, so it
         # matches ZF bit for bit
@@ -403,7 +398,7 @@ class MZFDetector(MimoDetector):
         if self.variant == "scaled-alpha":
             for s, layer in zip(*np.nonzero(~degenerate)):
                 alpha[s, layer], q[s, layer] = optimize_alpha(
-                    q[s, layer], layer, stages[s][1], self.hplus_
+                    q[s, layer], layer, self.tau_[s], self.hplus_
                 )
         plain = tau * self.hplus_
         qf, scale = q.astype(float), alpha[..., None]
@@ -412,22 +407,32 @@ class MZFDetector(MimoDetector):
         )
         targets = targets.reshape(*shape, -1)
         resid = targets + scale * times(qf, effective)
-        cost = np.where(degenerate, dots(targets, targets), dots(resid, resid))
-        half_q_sum = q.sum(axis=-1) // 2
-        self.parity_ = half_q_sum % 2 == 1
+        self.cost_ = np.where(degenerate, dots(targets, targets), dots(resid, resid))
+        self.parity_ = (q.sum(axis=-1) // 2) % 2 == 1
 
-        nlayers = alphabet.nbits if self.variant == "bitwise" else 1
-        fields = (alpha, degenerate, half_q_sum, cost, exact, nodes)
-        plans = [[] for _ in range(k)]
-        for i, row in enumerate(zip(*(f.ravel().tolist() for f in fields))):
-            s, layer = divmod(i, k)
-            bit_layer, tau_s = stages[s]
-            a, degen, half, cost_i, exact_i, nodes_i = row
+    @property
+    def plans_(self) -> list[list[PerturbationPlan]]:
+        """The fitted arrays as per-layer lists of PerturbationPlan, one per
+        stage, built anew on every read; q and combining_row are views into
+        q_ and comb_."""
+        bitwise = self.variant == "bitwise"
+        nlayers = self.alphabet_.nbits if bitwise else 1
+        fields = (
+            self.alpha_, self.degenerate_, self.q_.sum(axis=-1) // 2,
+            self.cost_, self.exact_, self.nodes_,
+        )
+        rows = zip(*(f.ravel().tolist() for f in fields))
+        plans = [[] for _ in range(self.k_)]
+        for (s, layer), (alpha, degen, half, cost, exact, nodes) in zip(
+            np.ndindex(self.degenerate_.shape), rows
+        ):
+            bit_layer = s + 1 if bitwise else 0
             plans[layer].append(PerturbationPlan(
-                layer, bit_layer, q[s, layer], tau_s, a, self.comb_[s, layer], degen,
-                ParityContext(half, bit_layer, nlayers), cost_i, exact_i, nodes_i,
+                layer, bit_layer, self.q_[s, layer], float(self.tau_[s]), alpha,
+                self.comb_[s, layer], degen, ParityContext(half, bit_layer, nlayers),
+                cost, exact, nodes,
             ))
-        self.plans_ = plans
+        return plans
 
     def _block(self, y):
         """Detect every row of an n_obs x N block at once.

@@ -9,7 +9,8 @@ import numpy as np
 
 from .alphabet import PamAlphabet
 from .channel import NoiseSpec
-from .detect import DetectionResult, PerturbationPlan
+from .detect import DetectionResult
+from .rowwise import dots
 
 
 @dataclass(frozen=True)
@@ -22,31 +23,27 @@ class LayerGain:
     gain_db: float
 
 
-def post_snr(plan: PerturbationPlan, hplus, snr_linear: float) -> LayerGain:
-    """Per-layer post-processing SNR for a perturbation plan.
+def detector_gains(detector, snr_linear: float = 1.0) -> list[LayerGain]:
+    """Gains of a fitted MZFDetector, read off its hplus_, tau_, comb_ and
+    degenerate_ arrays; layer by layer and, within a layer, stage by stage.
 
     The plain-equalizer value is snr / ||delta_k Hplus||^2; the perturbed one
     is tau^2 snr / ||combining_row||^2.  Degenerate layers reuse the plain
     row, so their gain is exactly zero.
     """
-    hplus = np.asarray(hplus, dtype=float)
-    row = hplus[plan.layer]
-    gamma_zf = snr_linear / float(row @ row)
-    if plan.degenerate:
-        return LayerGain(plan.layer, gamma_zf, gamma_zf, 0.0)
-    comb = plan.combining_row
-    gamma_mzf = plan.tau**2 * snr_linear / float(comb @ comb)
-    gain_db = 10.0 * math.log10(gamma_mzf / gamma_zf)
-    return LayerGain(plan.layer, gamma_zf, gamma_mzf, gain_db)
-
-
-def detector_gains(detector, snr_linear: float = 1.0) -> list[LayerGain]:
-    """Gains of every plan held by a fitted modulus detector."""
-    return [
-        post_snr(plan, detector.hplus_, snr_linear)
-        for per_layer in detector.plans_
-        for plan in per_layer
-    ]
+    hplus, comb = detector.hplus_, detector.comb_
+    gamma_zf = (snr_linear / dots(hplus, hplus)).tolist()
+    gamma_mzf = (detector.tau_[:, None] ** 2 * snr_linear / dots(comb, comb)).T.tolist()
+    degenerate = detector.degenerate_.T.tolist()
+    gains = []
+    for layer, (zf, mzf_row, degen_row) in enumerate(zip(gamma_zf, gamma_mzf, degenerate)):
+        for mzf, degen in zip(mzf_row, degen_row):
+            if degen:
+                gains.append(LayerGain(layer, zf, zf, 0.0))
+            else:
+                # math.log10, not np.log10: the two round some ratios an ulp apart
+                gains.append(LayerGain(layer, zf, mzf, 10.0 * math.log10(mzf / zf)))
+    return gains
 
 
 def snr_to_n0(snr_db: float, alphabet: PamAlphabet) -> NoiseSpec:

@@ -178,14 +178,14 @@ def _trial_channel(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def _count_exhausted(det, spec: DetectorSpec) -> int:
-    """Sphere-search plans that ran out of budget (approximate fallback)."""
-    if spec.solver != "sd" or not hasattr(det, "plans_"):
+    """(stage, layer) sphere searches that ran out of budget (approximate fallback)."""
+    if spec.solver != "sd" or not isinstance(det, MZFDetector):
         return 0
-    return sum(not p.exact for row in det.plans_ for p in row)
+    return int(np.count_nonzero(~det.exact_))
 
 
 def _gains(det) -> list:
-    return detector_gains(det) if hasattr(det, "plans_") else []
+    return detector_gains(det) if isinstance(det, MZFDetector) else []
 
 
 def _run_trials(cfg: SimConfig, trial_indices) -> tuple[dict, np.ndarray, int]:

@@ -218,13 +218,11 @@ def run_worked_example(parity: str = "derived") -> ExampleReport:
     y = np.array(OBSERVATION, dtype=float)
     det = MZFDetector(modulation=4, solver="sd", parity="derived").fit(h)
     plan_costs_ok = all(
-        abs(det.plans_[k][0].cost - float(costs[k])) < 1e-12 for k in range(4)
+        abs(det.cost_[0, k] - float(costs[k])) < 1e-12 for k in range(4)
     )
     check("float plan costs match exact costs", True, plan_costs_ok)
     check(
-        "float degeneracy flags",
-        tuple(degenerate),
-        tuple(det.plans_[k][0].degenerate for k in range(4)),
+        "float degeneracy flags", tuple(degenerate), tuple(det.degenerate_[0].tolist())
     )
     check(
         "float detector symbols (derived parity)",

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import mzf
 from mzf.alphabet import make_alphabet, random_symbols, symbol_to_bits
 from mzf.channel import (
     embed_complex,
@@ -22,7 +23,6 @@ from mzf.detect import (
     MLDetector,
     MZFDetector,
     ZFDetector,
-    is_degenerate,
     optimize_alpha,
 )
 from mzf.metrics import detector_gains, snr_to_n0
@@ -42,6 +42,13 @@ def noiseless_cases(seed, n, dims=(2, 4, 6), mods=(4, 16, 64)):
         h = generate_real_channel(rng, k)
         x = random_symbols(rng, make_alphabet(m), k)
         yield h, x, h @ x, m
+
+
+def test_star_import_resolves_every_export():
+    # from-import-star raises on a name __all__ lists but the package lacks
+    namespace = {}
+    exec("from mzf import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == sorted(mzf.__all__)
 
 
 class TestEstimatorConventions:
@@ -156,12 +163,20 @@ class TestPreprocess:
     def test_fitted_arrays_stack_the_plans(self):
         det = MZFDetector(modulation=64, variant="bitwise").fit(H_REF)
         assert det.comb_.shape == (3, 4, 4)
+        assert det.q_.shape == (3, 4, 4)
+        assert det.tau_.tolist() == [1.0, 0.5, 0.25]
+        assert "plans_" not in vars(det)
         for k in range(4):
             for s, plan in enumerate(det.plans_[k]):
+                assert np.array_equal(det.q_[s, k], plan.q)
                 assert np.array_equal(det.comb_[s, k], plan.combining_row)
+                assert det.tau_[s] == plan.tau
                 assert det.alpha_[s, k] == plan.alpha
                 assert det.degenerate_[s, k] == plan.degenerate
                 assert det.parity_[s, k] == (plan.parity.half_q_sum % 2 == 1)
+                assert det.cost_[s, k] == plan.cost
+                assert det.exact_[s, k] == plan.exact
+                assert det.nodes_[s, k] == plan.nodes
 
     def test_plans_carry_search_nodes(self):
         rng = np.random.default_rng(26)
@@ -453,25 +468,6 @@ class TestTallChannels:
             ZFDetector().fit(np.zeros((2, 4)))
 
 
-class TestIsDegenerate:
-    def test_zero_vector(self):
-        assert is_degenerate(np.zeros(4), 2)
-
-    def test_self_only_entry(self):
-        q = np.zeros(4)
-        q[2] = 2
-        assert is_degenerate(q, 2)
-
-    def test_cross_entry(self):
-        assert not is_degenerate(np.array([0, 0, 2, 0]), 1)
-
-    def test_layer_index_reads_like_a_sequence_index(self):
-        q = np.array([0, 0, 0, 2])
-        assert is_degenerate(q, -1) and not is_degenerate(q, -2)
-        with pytest.raises(IndexError):
-            is_degenerate(q, 4)
-
-
 class TestParityModes:
     def test_paper_literal_mode_runs(self):
         rng = np.random.default_rng(21)
@@ -617,8 +613,8 @@ def _fit_grid():
 
 
 class TestFitPinned:
-    # sha256 over every plan field a fit produces and the gains read off the
-    # plans, made with one IlsProblem and one search call per layer
+    # sha256 over every plan field a fit produces and its gains, made with
+    # one IlsProblem and one search call per layer
     DIGEST = "b5a24f92e7b8d61f63c59ee0061ccdf732be2744e23b51edd3a5cd93e5284a7d"
 
     def test_plans_and_gains_pinned(self):

@@ -6,7 +6,7 @@ import pytest
 from mzf.alphabet import make_alphabet, symbol_to_bits
 from mzf.channel import generate_real_channel
 from mzf.detect import DetectionResult, MZFDetector
-from mzf.metrics import BerAccumulator, detector_gains, post_snr, snr_to_n0
+from mzf.metrics import BerAccumulator, detector_gains, snr_to_n0
 
 H_REF = np.array(
     [[-6, 0, -1, 5], [-3, -2, -1, 1], [1, -5, -6, 0], [1, -1, -3, -2]], dtype=float
@@ -16,14 +16,14 @@ H_REF = np.array(
 class TestPostSnr:
     def test_reference_layer_two(self):
         det = MZFDetector(modulation=4, solver="sd").fit(H_REF)
-        gain = post_snr(det.plans_[1][0], det.hplus_, snr_linear=1.0)
+        gain = detector_gains(det, snr_linear=1.0)[1]
         assert gain.gamma_zf == pytest.approx(185 / 47, abs=1e-9)
         assert gain.gamma_mzf == pytest.approx(185 / 27, abs=1e-9)
         assert gain.gain_db == pytest.approx(10 * np.log10(47 / 27), abs=1e-9)
 
     def test_degenerate_layer_gain_is_exactly_zero(self):
         det = MZFDetector(modulation=4, solver="sd").fit(H_REF)
-        gain = post_snr(det.plans_[0][0], det.hplus_, snr_linear=2.0)
+        gain = detector_gains(det, snr_linear=2.0)[0]
         assert gain.gamma_mzf == gain.gamma_zf
         assert gain.gain_db == 0.0
 
@@ -36,8 +36,8 @@ class TestPostSnr:
 
     def test_snr_scales_both_gammas(self):
         det = MZFDetector(modulation=4, solver="sd").fit(H_REF)
-        g1 = post_snr(det.plans_[1][0], det.hplus_, 1.0)
-        g2 = post_snr(det.plans_[1][0], det.hplus_, 10.0)
+        g1 = detector_gains(det, 1.0)[1]
+        g2 = detector_gains(det, 10.0)[1]
         assert g2.gamma_zf == pytest.approx(10 * g1.gamma_zf)
         assert g2.gain_db == pytest.approx(g1.gain_db)
 
