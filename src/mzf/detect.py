@@ -35,9 +35,10 @@ from .channel import (
 from .intsearch import (
     IlsProblem,
     _lll_rows,
+    _reduce,
     _solve_sd_rows,
+    check_count,
     check_lll_delta,
-    lll_reduce,
     solve_brute,
 )
 from .modarith import ParityContext, branch_parity, mod_recover_each
@@ -271,7 +272,7 @@ class LARDetector(MimoDetector):
         check_lll_delta(self.delta, "delta")
 
     def _fit(self, h, n0):
-        self.reduction_ = lll_reduce(h, self.delta)
+        self.reduction_ = _reduce(h, self.delta)
         self.hbar_inv_ = self.reduction_.bbar_pinv
         self.shift_ = h @ np.ones(h.shape[1])
 
@@ -344,10 +345,8 @@ class MZFDetector(MimoDetector):
         _check_choice("equalizer", self.equalizer, EQUALIZERS)
         _check_choice("parity", self.parity, PARITY_MODES)
         _check_choice("noise_weighting", self.noise_weighting, NOISE_WEIGHTINGS)
-        if self.sd_budget < 1:
-            raise ValueError(f"sd_budget must be >= 1, got {self.sd_budget}")
-        if self.brute_bound < 0:
-            raise ValueError(f"brute_bound must be >= 0, got {self.brute_bound}")
+        check_count(self.sd_budget, "sd_budget", 1)
+        check_count(self.brute_bound, "brute_bound", 0)
         check_lll_delta(self.lll_delta, "lll_delta")
 
     def _fit(self, h, n0):
@@ -364,7 +363,7 @@ class MZFDetector(MimoDetector):
                 left = self.hplus_ @ h - np.eye(k)
                 effective = np.hstack([left, math.sqrt(n0 / 2.0) * self.hplus_])
         basis = -effective
-        self.reduction_ = lll_reduce(basis.T, self.lll_delta)
+        self.reduction_ = _reduce(basis.T, self.lll_delta)
 
         if self.variant == "bitwise":
             self.tau_ = 0.5 ** np.arange(alphabet.nbits)

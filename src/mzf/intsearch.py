@@ -20,10 +20,21 @@ reduction-based estimates and every candidate cost are computed for all rows
 at once, each row by the BLAS call one target alone makes (see rowwise), and
 only the enumeration runs row by row.  solve_sd and solve_lll are its
 one-row calls.
+
+Fits of one channel at several QAM orders and variants reduce the same
+basis and partly search the same rows, so two memos reuse results that are
+byte for byte what a fresh computation gives.  _reduce keeps the last
+reduction, keyed by a copy of its input's bytes; the row search keeps every
+row it searched on a reduction in that reduction's searched dict, so the
+memo is freed with the reduction.  A row answered from the memo carries the
+nodes and exact flag of the search that first found it, so node counts
+read as if every search had run.  Everything a ReducedBasis holds is
+read-only, since fitted detectors share it.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,7 +69,8 @@ class ReducedBasis:
     """LLL output: Bbar = original @ T with T unimodular.
 
     The factorizations every layer's search reads are computed on first use
-    and kept, so one reduction pays for each of them once.
+    and kept, so one reduction pays for each of them once.  Its arrays are
+    read-only.
     """
 
     bbar: np.ndarray    # reduced basis, vectors in columns
@@ -69,15 +81,27 @@ class ReducedBasis:
     @cached_property
     def doubled_qr(self):
         """Positive-diagonal QR of the doubled reduced basis 2 Bbar."""
-        return _qr_positive(2.0 * self.bbar)
+        return tuple(map(_read_only, _qr_positive(2.0 * self.bbar)))
 
     @cached_property
     def bbar_pinv(self) -> np.ndarray:
-        return np.linalg.pinv(self.bbar)
+        return _read_only(np.linalg.pinv(self.bbar))
 
     @cached_property
     def source_pinv(self) -> np.ndarray:
-        return np.linalg.pinv(self.source)
+        return _read_only(np.linalg.pinv(self.source))
+
+    @cached_property
+    def searched(self) -> dict:
+        """(target row bytes, budget) -> (q, cost, exact, nodes) of every row
+        the sphere search ran on this reduction."""
+        return {}
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, marked read-only."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -112,19 +136,31 @@ def check_lll_delta(delta, name: str = "delta") -> None:
         raise ValueError(f"{name} must lie in (0.25, 1], got {delta}")
 
 
+def check_count(value, name: str, low: int) -> None:
+    """Raise ValueError unless value is an integer >= low; a bool or a float
+    is refused even where it equals an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def lll_reduce(m, delta: float = 0.75) -> ReducedBasis:
     """Lovasz-reduce the columns of m, tracking the unimodular transform.
 
-    Raises on linearly dependent columns.  Standard swap-based formulation;
-    the Gram-Schmidt data is computed once and then updated in O(n) per swap
-    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.3).
-    The loop runs on lists (see the module docstring).
+    Raises on a non-finite entry and on linearly dependent columns.
+    Standard swap-based formulation; the Gram-Schmidt data is computed once
+    and then updated in O(n) per swap (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.6.3).  The loop runs on lists (see the
+    module docstring).
     """
     check_lll_delta(delta)
     basis = np.array(m, dtype=float)
     source = basis.copy()
     if basis.ndim != 2 or basis.shape[0] < basis.shape[1]:
         raise ValueError(f"basis must be tall or square, got shape {basis.shape}")
+    if not np.isfinite(basis).all():
+        raise ValueError("basis must be finite")
     n = basis.shape[1]
     t = np.eye(n, dtype=np.int64)
     norms, mu = _gram_schmidt(basis)
@@ -167,7 +203,25 @@ def lll_reduce(m, delta: float = 0.75) -> ReducedBasis:
         k = max(k - 1, 1)
     basis[...] = np.array(cols).T  # in place, so bbar keeps the input's layout
     t[...] = np.array(t_cols).T
-    return ReducedBasis(bbar=basis, t=t, delta=delta, source=source)
+    return ReducedBasis(
+        bbar=_read_only(basis), t=_read_only(t), delta=delta, source=_read_only(source)
+    )
+
+
+# ((shape, strides, bytes, delta), ReducedBasis) of the last _reduce call
+_last_reduction = None
+
+
+def _reduce(m, delta: float) -> ReducedBasis:
+    """lll_reduce(m, delta), the last result again when m has its shape,
+    layout and bytes and delta is its delta.  The key holds a copy of the
+    bytes, so a caller that later writes into m cannot alter the entry."""
+    global _last_reduction
+    basis = np.array(m, dtype=float)  # the array lll_reduce reduces
+    key = (basis.shape, basis.strides, basis.tobytes(), delta)
+    if _last_reduction is None or _last_reduction[0] != key:
+        _last_reduction = (key, lll_reduce(basis, delta))
+    return _last_reduction[1]
 
 
 def _qr_positive(mat):
@@ -199,15 +253,42 @@ def solve_sd(
 
 def _solve_sd_rows(targets, B, budget, cache):
     """solve_sd on every row of the R x ncols block targets against one B
-    (see the module docstring); returns (q, cost, exact, nodes) arrays."""
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    (see the module docstring); returns (q, cost, exact, nodes) arrays.
+
+    With a cache, rows searched on it before at this budget come from its
+    searched memo and only the others are searched."""
+    check_count(budget, "budget", 1)
+    targets = np.asarray(targets, dtype=float)
+    if cache is None:
+        return _search_rows(targets, B, budget, None)
+    _check_cache(B, cache)
+    memo = cache.searched
+    keys = [(row.tobytes(), budget) for row in targets]
+    miss = [i for i, key in enumerate(keys) if key not in memo]
+    if len(miss) == len(keys):
+        return _remember(memo, keys, _search_rows(targets, B, budget, cache))
+    if miss:
+        found = _search_rows(targets[miss], B, budget, cache)
+        _remember(memo, [keys[i] for i in miss], found)
+    return tuple(map(np.array, zip(*(memo[key] for key in keys))))
+
+
+def _remember(memo, keys, rows):
+    """Store row i of the (q, cost, exact, nodes) arrays rows under keys[i],
+    q as a read-only copy; returns rows."""
+    q, cost, exact, nodes = rows
+    scalars = (a.tolist() for a in (cost, exact, nodes))
+    memo.update(zip(keys, zip(_read_only(q.copy()), *scalars)))
+    return rows
+
+
+def _search_rows(targets, B, budget, cache):
+    """The row search itself, on a cache already checked against B."""
     rows, K = len(targets), B.shape[0]
     if cache is None:
         q_mat, r_mat = _qr_positive(2.0 * B.T)
         t = np.eye(K, dtype=np.int64)
     else:
-        _check_cache(B, cache)
         q_mat, r_mat = cache.doubled_qr
         t = cache.t
     v = apply(q_mat.T, targets)
@@ -231,8 +312,12 @@ def _solve_sd_rows(targets, B, budget, cache):
     w = np.zeros((rows, K), dtype=np.int64)
     exact = np.zeros(rows, dtype=bool)
     nodes = np.zeros(rows, dtype=np.int64)
+    # the triangle as lists once for all rows: r_mat may be read-only, and
+    # a view of a read-only array costs more to make
+    cols = [r_mat[:k, k].tolist() for k in range(K)]  # above the diagonal
+    diag = np.diag(r_mat).tolist()
     for i, (best, c0_i) in enumerate(zip(cost.min(axis=1).tolist(), c0.tolist())):
-        w[i], nodes[i], exact[i] = _se_enumerate(v[i], r_mat, best, c0_i, budget)
+        w[i], nodes[i], exact[i] = _se_enumerate(v[i], cols, diag, best, c0_i, budget)
     q[:, 3] = 2 * apply(t, w)
     cost[:, 3] = _cost(targets, B, q[:, 3])
     return _least(q, cost) + (exact, nodes)
@@ -258,16 +343,15 @@ def _first(rows) -> IlsSolution:
     return IlsSolution(q, float(cost), bool(exact), int(nodes))
 
 
-def _se_enumerate(v, r_mat, best_cost, c0, budget):
-    """Depth-first enumeration core; returns (best coeffs, nodes, exact), the
-    coeffs all zero when no point beats best_cost.
+def _se_enumerate(v, cols, diag, best_cost, c0, budget):
+    """Depth-first enumeration core on the triangle R given as its columns
+    above the diagonal and its diagonal; returns (best coeffs, nodes,
+    exact), the coeffs all zero when no point beats best_cost.
 
     partial[i] is v minus the contributions of levels > i; only its first
     i + 1 entries are ever read, so a descent to level k - 1 builds just k.
     """
     K = v.size
-    cols = [r_mat[:k, k].tolist() for k in range(K)]  # above the diagonal
-    diag = np.diag(r_mat).tolist()
     best_w = [0] * K
     m = [0] * K
     step = [0] * K

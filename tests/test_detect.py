@@ -1,11 +1,13 @@
 """Detector suite tests: estimator conventions, preprocessing, detection."""
 
+import copy
 import hashlib
 
 import numpy as np
 import pytest
 
 import mzf
+from mzf import intsearch
 from mzf.alphabet import make_alphabet, random_symbols, symbol_to_bits
 from mzf.channel import (
     embed_complex,
@@ -32,6 +34,18 @@ H_REF = np.array(
 )
 Y_REF = np.array([3.0, 1.0, 15.0, 11.0])
 X_REF = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def count_calls(monkeypatch, owner, names):
+    """{name: calls} of owner.<name> for every name, counted from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def noiseless_cases(seed, n, dims=(2, 4, 6), mods=(4, 16, 64)):
@@ -113,12 +127,30 @@ class TestEstimatorConventions:
             MZFDetector(noise_weighting="nope"),
             MZFDetector(sd_budget=0),
             MZFDetector(brute_bound=-1),
+            MZFDetector(sd_budget=2.5),
+            MZFDetector(sd_budget=1e6),
+            MZFDetector(sd_budget=True),
+            MZFDetector(brute_bound=2.5),
+            MZFDetector(brute_bound=True),
             MZFDetector(lll_delta=2.0),
             LARDetector(mode="nope"),
             LARDetector(delta=0.25),
         ):
             with pytest.raises(ValueError):
                 bad.fit(H_REF)
+
+    @pytest.mark.parametrize("name", ["sd_budget", "brute_bound"])
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_counts_must_be_integers(self, name, bad):
+        # the budget keys the search memo, so 2.5 and 2 would be two keys
+        # for one search
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+            MZFDetector(**{name: bad}).fit(H_REF)
+
+    def test_numpy_integer_counts_accepted(self):
+        det = MZFDetector(sd_budget=np.int64(50), brute_bound=np.int32(4)).fit(H_REF)
+        plain = MZFDetector(sd_budget=50, brute_bound=4).fit(H_REF)
+        assert np.array_equal(det.q_, plain.q_)
 
     @pytest.mark.parametrize("det", [ZFDetector(), MZFDetector(), LARDetector()])
     @pytest.mark.parametrize("n0", [np.nan, np.inf, -1.0])
@@ -188,17 +220,12 @@ class TestPreprocess:
                 lll = MZFDetector(modulation=16, variant=variant, solver="lll").fit(h)
                 assert all(p.nodes == 0 for row in lll.plans_ for p in row)
 
+    @pytest.mark.usefixtures("fresh_reduction_memo")
     @pytest.mark.parametrize("solver", ["sd", "lll"])
     def test_fit_factors_each_basis_once(self, solver, monkeypatch):
         # one QR of the doubled reduced basis and one pinv each of the reduced
         # and the unreduced basis serve all 8 layers x 3 bit stages
-        calls = {"qr": 0, "pinv": 0}
-        for name in calls:
-            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = count_calls(monkeypatch, np.linalg, ("qr", "pinv"))
         h = generate_real_channel(np.random.default_rng(27), 8)
         MZFDetector(modulation=64, variant="bitwise", solver=solver).fit(h)
         assert calls == {"qr": 1 if solver == "sd" else 0, "pinv": 2}
@@ -588,9 +615,9 @@ class TestBlockDetection:
         assert det.predict(np.stack([Y_REF] * 3)).shape == (3, 4)
 
 
-def _fit_grid():
-    """Fitted modulus detectors: solvers sd and lll, every variant and
-    equalizer setting on one kc = 3 and one real K = 8 channel at
+def _fit_configs():
+    """(channel, n0, unfitted detector): solvers sd and lll, every variant
+    and equalizer setting on one kc = 3 and one real K = 8 channel at
     M = 4, 16, 64; brute on a real K = 4 channel; and a starved sd_budget=50
     fit on a real K = 12 channel whose plans partly come back inexact."""
     rng = np.random.default_rng(41)
@@ -604,12 +631,18 @@ def _fit_grid():
                         det = MZFDetector(
                             m, variant, solver, equalizer, noise_weighting=weighting
                         )
-                        yield det.fit(h, n0=n0)
+                        yield h, n0, det
     h = generate_real_channel(rng, 4)
     for m in (4, 16, 64):
         for variant in MZF_VARIANTS:
-            yield MZFDetector(m, variant, solver="brute").fit(h)
-    yield MZFDetector(4, sd_budget=50).fit(generate_real_channel(rng, 12))
+            yield h, 0.0, MZFDetector(m, variant, solver="brute")
+    yield generate_real_channel(rng, 12), 0.0, MZFDetector(4, sd_budget=50)
+
+
+def _fit_grid():
+    """The _fit_configs detectors, fitted in turn."""
+    for h, n0, det in _fit_configs():
+        yield det.fit(h, n0=n0)
 
 
 class TestFitPinned:
@@ -629,3 +662,86 @@ class TestFitPinned:
             digest.update(repr(detector_gains(det)).encode())
         assert inexact > 0
         assert digest.hexdigest() == self.DIGEST
+
+
+FITTED_ARRAYS = ("q_", "cost_", "exact_", "nodes_", "comb_", "alpha_", "degenerate_", "parity_")
+
+
+class TestFitMemo:
+    # fits of one channel share its reduction and the search rows they have
+    # in common; what they reuse must be the bytes a fresh fit computes
+
+    @pytest.mark.usefixtures("fresh_reduction_memo")
+    def test_orders_share_one_reduction(self, monkeypatch):
+        # the ZF basis -H^+ does not depend on M, so the fits at three orders
+        # reduce it once and factor it once
+        reductions = count_calls(monkeypatch, intsearch, ("lll_reduce",))
+        calls = count_calls(monkeypatch, np.linalg, ("qr", "pinv"))
+        h = generate_real_channel(np.random.default_rng(28), 8)
+        dets = [MZFDetector(m).fit(h) for m in (4, 16, 64)]
+        assert reductions == {"lll_reduce": 1}
+        assert calls == {"qr": 1, "pinv": 2}
+        assert all(d.reduction_ is dets[0].reduction_ for d in dets)
+
+    @pytest.mark.usefixtures("fresh_reduction_memo")
+    def test_variants_share_search_rows(self, monkeypatch):
+        # at 16-QAM plain searches tau = 0.5, bitwise tau = 1 and 0.5 and
+        # feedback tau = 1: 24 rows on a kc = 3 channel, 12 of them distinct
+        calls = count_calls(monkeypatch, intsearch, ("_se_enumerate",))
+        h = embed_complex(generate_channel(np.random.default_rng(29), 3))
+        for variant in ("plain", "bitwise", "feedback"):
+            MZFDetector(16, variant).fit(h)
+        assert calls == {"_se_enumerate": 12}
+
+    def test_warm_memo_fits_byte_identical(self, monkeypatch):
+        # every pinned configuration, fitted once on an empty memo and once
+        # right after a fit of its channel at another order and variant (same
+        # n0, so an LMMSE basis is shared too); of the sd fits some are
+        # answered from the memo entirely and some in part
+        seen = set()
+        for h, n0, det in _fit_configs():
+            monkeypatch.setattr(intsearch, "_last_reduction", None)
+            cold = copy.copy(det).fit(h, n0=n0)
+            warm_up = copy.copy(det)
+            warm_up.variant = "feedback" if det.variant == "bitwise" else "bitwise"
+            warm_up.modulation = 16 if det.modulation == 64 else 64
+            monkeypatch.setattr(intsearch, "_last_reduction", None)
+            memo = warm_up.fit(h, n0=n0).reduction_.searched
+            before = len(memo)
+            warm = copy.copy(det).fit(h, n0=n0)
+            assert warm.reduction_ is warm_up.reduction_
+            for name in FITTED_ARRAYS:
+                a, b = getattr(cold, name), getattr(warm, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert a.tobytes() == b.tobytes(), name
+            if det.solver == "sd":
+                rows, searched = warm.q_.shape[0] * warm.k_, len(memo) - before
+                seen.add("all" if not searched else "none" if searched == rows else "some")
+        assert seen == {"all", "some", "none"}
+
+    def test_shared_reduction_is_read_only(self):
+        h = generate_real_channel(np.random.default_rng(30), 6)
+        det = MZFDetector(16, "bitwise").fit(h)
+        other = MZFDetector(64, "feedback").fit(h)
+        red = det.reduction_
+        assert other.reduction_ is red
+        shared = [red.bbar, red.t, red.source, *red.doubled_qr, red.bbar_pinv, red.source_pinv]
+        shared += [entry[0] for entry in red.searched.values()]
+        for a in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        # fitted arrays stay the detector's own
+        assert det.q_.flags.writeable and other.q_.flags.writeable
+        assert not np.shares_memory(det.q_, other.q_)
+
+    @pytest.mark.usefixtures("fresh_reduction_memo")
+    def test_writing_into_the_channel_cannot_poison_the_memo(self):
+        h = generate_real_channel(np.random.default_rng(32), 6)
+        first = MZFDetector(16).fit(h)
+        h[0, 0] += 1.0
+        changed = MZFDetector(16).fit(h)
+        assert changed.reduction_ is not first.reduction_
+        intsearch._last_reduction = None
+        fresh = MZFDetector(16).fit(h)
+        for name in FITTED_ARRAYS:
+            assert getattr(changed, name).tobytes() == getattr(fresh, name).tobytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from util_exact import int_det
 
+from mzf import intsearch
 from mzf.alphabet import make_alphabet
 from mzf.channel import (
     NoiseSpec,
@@ -19,6 +20,7 @@ from mzf.channel import (
 from mzf.intsearch import (
     IlsProblem,
     _lll_rows,
+    _reduce,
     _solve_sd_rows,
     lll_reduce,
     solve_brute,
@@ -87,6 +89,15 @@ class TestSolveSd:
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
             solve_sd(reference_problem(0), budget=0)
+
+    @pytest.mark.parametrize("budget", [2.5, 1e6, True])
+    def test_rejects_non_integer_budget(self, budget):
+        p = reference_problem(0)
+        cache = lll_reduce(p.B.T)
+        with pytest.raises(ValueError, match=f"budget must be an integer, got {budget!r}"):
+            _solve_sd_rows(p.b[None], p.B, budget, cache)
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            solve_sd(p, budget=budget)
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_cache_agrees_with_plain_search_at_k12(self, order):
@@ -193,10 +204,38 @@ class TestRowSearch:
     @pytest.mark.parametrize("cached", [True, False])
     def test_sd_rows_equal_one_row_searches(self, k, budget, cached):
         targets, basis, cache = stacked_layers(k)
-        cache = cache if cached else None
-        rows = _solve_sd_rows(targets, basis, budget, cache)
-        solutions = [solve_sd(IlsProblem(b, basis), budget, cache) for b in targets]
+        rows = _solve_sd_rows(targets, basis, budget, cache if cached else None)
+        # a reduction of its own, so the batch's search memo cannot answer
+        # the one-row searches
+        own = lll_reduce(basis.T) if cached else None
+        solutions = [solve_sd(IlsProblem(b, basis), budget, own) for b in targets]
         assert_rows_match(rows, solutions)
+
+    @pytest.mark.parametrize("k", [6, 12])
+    def test_memo_answers_equal_fresh_searches(self, k, monkeypatch):
+        targets, basis, cache = stacked_layers(k)
+        want = {
+            budget: _solve_sd_rows(targets, basis, budget, lll_reduce(basis.T))
+            for budget in (50, 10**6)
+        }
+        calls = []
+        real = intsearch._search_rows
+
+        def counted(targets, *args):
+            calls.append(len(targets))
+            return real(targets, *args)
+
+        monkeypatch.setattr(intsearch, "_search_rows", counted)
+        _solve_sd_rows(targets[::2], basis, 10**6, cache)
+        some = _solve_sd_rows(targets, basis, 10**6, cache)  # the odd rows searched
+        every = _solve_sd_rows(targets, basis, 10**6, cache)  # none searched
+        starved = _solve_sd_rows(targets, basis, 50, cache)  # another key
+        assert calls == [(k + 1) // 2, k // 2, k]
+        for got, budget in ((some, 10**6), (every, 10**6), (starved, 50)):
+            for a, b in zip(got, want[budget]):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                assert a.flags.writeable
+        assert len(cache.searched) == 2 * k
 
     @pytest.mark.parametrize("k", [6, 12, 24])
     def test_lll_rows_equal_one_row_estimates(self, k):
@@ -266,6 +305,36 @@ class TestLllReduce:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             lll_reduce(np.eye(2), delta=0.2)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_basis(self, bad):
+        with pytest.raises(ValueError, match="basis must be finite"):
+            lll_reduce(np.array([[1.0, bad], [0.0, 1.0]]))
+
+
+@pytest.mark.usefixtures("fresh_reduction_memo")
+class TestReductionMemo:
+    def test_same_input_reduced_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(intsearch, "lll_reduce", lambda *a: calls.append(a) or lll_reduce(*a))
+        m = np.ascontiguousarray(zf_basis(generate_real_channel(np.random.default_rng(19), 6)))
+        first = _reduce(m, 0.75)
+        assert _reduce(m.copy(), 0.75) is first
+        second = _reduce(m, 0.99)  # delta is part of the key
+        assert second is not first
+        assert _reduce(m, 0.99) is second
+        assert _reduce(np.asfortranarray(m), 0.99) is not second  # so is the layout
+        assert len(calls) == 3
+
+    def test_writing_into_the_input_cannot_poison_the_memo(self):
+        m = zf_basis(generate_real_channel(np.random.default_rng(20), 6))
+        first = _reduce(m, 0.75)
+        m[0, 0] += 1.0
+        second = _reduce(m, 0.75)
+        assert second is not first
+        fresh = lll_reduce(m)
+        assert second.bbar.tobytes() == fresh.bbar.tobytes()
+        assert second.t.tobytes() == fresh.t.tobytes()
 
 
 def zf_basis(h):
