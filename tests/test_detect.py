@@ -597,6 +597,18 @@ class TestBlockDetection:
     # the ZF, LMMSE, LAR and ML block kernels replaced
     BASELINE_DETECT_DIGEST = "702cd0a1dbaad7f6383253b9a44855ebcfae1fe6abc178c0222ade89108daf0d"
     BASELINE_PREDICT_DIGEST = "ec15fce4a582315dee5da02e35acf9cb6607bf73c346ea532c49a0d28e54222f"
+    # sha256 of the ML detect() symbols and bits alone, row by row on
+    # _baseline_grid, made with the exhaustive grid search: what any exact
+    # ML search decides, whatever its layer_z
+    ML_DECISION_DIGEST = "92c68f9fe1f16213ff02ef777d281fab83453cddd70f230a2e3a2173b6e49540"
+
+    def test_ml_decisions_pinned(self):
+        digest = hashlib.sha256()
+        for det, y in _baseline_grid():
+            if isinstance(det, MLDetector):
+                for r in map(det.detect, y):
+                    digest.update(r.symbols.tobytes() + r.bits.tobytes())
+        assert digest.hexdigest() == self.ML_DECISION_DIGEST
 
     def test_byte_identical_to_row_by_row_detection(self):
         assert _digests(_identity_grid()) == (self.DETECT_DIGEST, self.PREDICT_DIGEST)
