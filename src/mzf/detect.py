@@ -35,10 +35,13 @@ from .channel import (
 from .intsearch import (
     IlsProblem,
     _lll_rows,
+    _qr_positive,
     _reduce,
+    _se_enumerate,
     _solve_sd_rows,
     check_count,
     check_lll_delta,
+    lll_reduce,
     solve_brute,
 )
 from .modarith import ParityContext, branch_parity, mod_recover_each
@@ -214,42 +217,38 @@ class LMMSEDetector(ZFDetector):
 
 
 class MLDetector(MimoDetector):
-    """Exhaustive minimum-distance detection over the full symbol grid.
+    """Exact minimum-distance detection by a box-constrained sphere search.
 
-    Candidate count sqrt(M)**K is capped by max_candidates; distance ties
-    resolve to the lexicographically smallest symbol vector because the grid
-    is enumerated in ascending order.
+    With x = 2u - (sqrt(M) - 1), ||y - Hx|| = ||y + shift - 2Hu|| for the
+    shift (sqrt(M) - 1) H 1, so fit keeps the positive-diagonal QR of 2H and
+    the shift, and each observation is one Schnorr-Euchner search over u in
+    {0..sqrt(M)-1}^K (Agrell, Eriksson, Vardy and Zeger, IEEE T-IT 2002).
+    Exactly tied distances resolve to the lexicographically smallest symbol
+    vector.  layer_z is the noiseless image H x of the decision.
     """
 
-    def __init__(self, modulation: int = 4, max_candidates: int = 10**7):
+    def __init__(self, modulation: int = 4):
         self.modulation = modulation
-        self.max_candidates = max_candidates
 
     def _fit(self, h, n0):
-        k = h.shape[1]
-        n_cand = self.alphabet_.sqrt_m**k
-        if n_cand > self.max_candidates:
-            raise ValueError(
-                f"{n_cand:.3e} candidates exceed the cap {self.max_candidates:.0e};"
-                " reduce K or the modulation order"
-            )
-        pts = self.alphabet_.points.astype(float)
-        # every index tuple in lexicographic order, the last index fastest
-        grid = np.indices((self.alphabet_.sqrt_m,) * k).reshape(k, -1).T
-        self.candidates_ = pts[grid]
-        self.candidate_images_ = self.candidates_ @ h.T
+        self.qr_ = _qr_positive(2.0 * h)
+        if not np.diag(self.qr_[1]).all():
+            raise ValueError("channel columns are linearly dependent")
+        self.shift_ = h @ np.full(h.shape[1], self.alphabet_.sqrt_m - 1.0)
 
     def _block(self, y):
-        # row by row: the residuals of a whole block against every candidate
-        # would take n_obs times the candidate table
-        best = np.empty(len(y), dtype=np.int64)
-        for i, row in enumerate(y):
-            resid = self.candidate_images_ - row
-            # first minimum = lexicographic tie-break
-            best[i] = np.argmin(np.einsum("ij,ij->i", resid, resid))
-        symbols = self.candidates_[best]
+        q, r = self.qr_
+        k = self.k_
+        cols = [r[:j, j].tolist() for j in range(k)]
+        diag = np.diag(r).tolist()
+        hi = [self.alphabet_.sqrt_m - 1] * k
+        u = np.array([
+            _se_enumerate(v, cols, diag, math.inf, 0.0, math.inf, hi)[0]
+            for v in apply(q.T, y + self.shift_)
+        ]).reshape(len(y), k)
+        symbols = (2 * u - hi[0]).astype(float)
         bits = symbol_to_bits(symbols, self.alphabet_.nbits)
-        return symbols, bits, self.candidate_images_[best]
+        return symbols, bits, apply(self.h_, symbols)
 
 
 class LARDetector(MimoDetector):
@@ -272,7 +271,9 @@ class LARDetector(MimoDetector):
         check_lll_delta(self.delta, "delta")
 
     def _fit(self, h, n0):
-        self.reduction_ = _reduce(h, self.delta)
+        # not through the last-reduction memo: H is never a modulus
+        # detector's basis, so it would only evict theirs
+        self.reduction_ = lll_reduce(h, self.delta)
         self.hbar_inv_ = self.reduction_.bbar_pinv
         self.shift_ = h @ np.ones(h.shape[1])
 
@@ -363,7 +364,9 @@ class MZFDetector(MimoDetector):
                 left = self.hplus_ @ h - np.eye(k)
                 effective = np.hstack([left, math.sqrt(n0 / 2.0) * self.hplus_])
         basis = -effective
-        self.reduction_ = _reduce(basis.T, self.lll_delta)
+        # the box search of solver="brute" reads no reduction
+        solver = self.solver
+        self.reduction_ = None if solver == "brute" else _reduce(basis.T, self.lll_delta)
 
         if self.variant == "bitwise":
             self.tau_ = 0.5 ** np.arange(alphabet.nbits)
@@ -375,11 +378,11 @@ class MZFDetector(MimoDetector):
         # one search row per (stage, layer), stage-major
         tau = self.tau_[:, None, None]
         targets = (tau * effective).reshape(-1, effective.shape[1])
-        if self.solver == "sd":
+        if solver == "sd":
             q, _, exact, nodes = _solve_sd_rows(
                 targets, basis, self.sd_budget, self.reduction_
             )
-        elif self.solver == "lll":
+        elif solver == "lll":
             q, _, exact, nodes = _lll_rows(targets, basis, self.reduction_)
         else:
             sols = [solve_brute(IlsProblem(b, basis), self.brute_bound) for b in targets]

@@ -343,13 +343,19 @@ def _first(rows) -> IlsSolution:
     return IlsSolution(q, float(cost), bool(exact), int(nodes))
 
 
-def _se_enumerate(v, cols, diag, best_cost, c0, budget):
+def _se_enumerate(v, cols, diag, best_cost, c0, budget, hi=None):
     """Depth-first enumeration core on the triangle R given as its columns
     above the diagonal and its diagonal; returns (best coeffs, nodes,
     exact), the coeffs all zero when no point beats best_cost.
 
     partial[i] is v minus the contributions of levels > i; only its first
     i + 1 entries are ever read, so a descent to level k - 1 builds just k.
+
+    hi, when given, boxes the search: coefficient k runs over 0..hi[k] only
+    (each level starts at its clipped rounding and skips the values past
+    either end of its zig-zag), and of two points of exactly equal cost the
+    lexicographically smaller one wins, so subtrees that tie the best cost
+    are searched too.
     """
     K = v.size
     best_w = [0] * K
@@ -361,7 +367,7 @@ def _se_enumerate(v, cols, diag, best_cost, c0, budget):
     k = K - 1
     partial[k] = v.tolist()
     center = partial[k][k] / diag[k]
-    m[k] = round(center)
+    m[k] = round(center) if hi is None else min(max(round(center), 0), hi[k])
     step[k] = 1 if center >= m[k] else -1
     exact = True
     while True:
@@ -371,26 +377,36 @@ def _se_enumerate(v, cols, diag, best_cost, c0, budget):
             break
         d = partial[k][k] - diag[k] * m[k]
         nd = dist[k + 1] + d * d
-        if nd + c0 < best_cost:
-            if k == 0:
-                best_cost = nd + c0
-                best_w = m.copy()
-                m[k] += step[k]
-                step[k] = -step[k] - (1 if step[k] > 0 else -1)
-            else:
+        if nd + c0 < best_cost or (hi is not None and nd + c0 == best_cost):
+            if k:
                 dist[k] = nd
                 m_k = float(m[k])  # exact, and float * float is the fast path
                 partial[k - 1] = [p - m_k * r for p, r in zip(partial[k], cols[k])]
                 k -= 1
                 center = partial[k][k] / diag[k]
-                m[k] = round(center)
+                m[k] = round(center) if hi is None else min(max(round(center), 0), hi[k])
                 step[k] = 1 if center >= m[k] else -1
+                continue
+            if nd + c0 < best_cost or m < best_w:
+                best_cost = nd + c0
+                best_w = m.copy()
+        elif k == K - 1:
+            break
         else:
-            if k == K - 1:
-                break
             k += 1
+        # the next sibling on level k in zig-zag order; in the box, a level
+        # whose next two values both lie outside it is spent, so climb
+        while True:
             m[k] += step[k]
             step[k] = -step[k] - (1 if step[k] > 0 else -1)
+            if hi is None or 0 <= m[k] <= hi[k]:
+                break
+            if not 0 <= m[k] + step[k] <= hi[k]:
+                k += 1
+                if k == K:
+                    break
+        if k == K:
+            break
     return best_w, nodes, exact
 
 

@@ -136,5 +136,5 @@ class BerAccumulator:
         total = sum(count for _, _, count in self.gain_entries)
         if not total:
             return 0.0
-        ordered = sorted(self.gain_entries)
-        return math.fsum(s for _, s, _ in ordered) / total
+        # fsum rounds the exact sum, whatever the order of the entries
+        return math.fsum(s for _, s, _ in self.gain_entries) / total

@@ -35,7 +35,7 @@ from .detect import (
     ZFDetector,
     _check_choice,
 )
-from .metrics import BerAccumulator, detector_gains, snr_to_n0
+from .metrics import detector_gains, snr_to_n0
 
 DETECTOR_KINDS = ("zf", "lmmse", "ml", "lar", "mzf", "mzf-ext1", "mzf-ext2", "mzf-ext3")
 MZF_KIND_VARIANTS = {
@@ -184,81 +184,62 @@ def _count_exhausted(det, spec: DetectorSpec) -> int:
     return int(np.count_nonzero(~det.exact_))
 
 
-def _gains(det) -> list:
-    return detector_gains(det) if isinstance(det, MZFDetector) else []
-
-
-def _run_trials(cfg: SimConfig, trial_indices) -> tuple[dict, np.ndarray, int]:
-    """Process a batch of trials; returns accumulators keyed by
-    (detector index, snr index), per-(detector, snr) wall times in ns, and
-    the number of budget-exhausted sphere searches.
+def _run_trials(cfg: SimConfig, trial_indices) -> tuple:
+    """Process a batch of trials; returns symbol errors, bit errors (per
+    bit layer on a trailing axis), gain counts and wall times in ns as
+    arrays over (detector, snr), the number of budget-exhausted sphere
+    searches, and per (detector, snr) cell, detector-major, the list of each
+    trial's exactly rounded gain sum (none for a detector without gains).
 
     A trial draws the symbols and noise of every SNR point first, then each
     detector fitted once per trial detects all of them in one predict call;
     a detector whose fit needs n0 is fitted and called once per point.
-    Errors are counted in arrays over (detector, snr) and added to the cells
-    once per batch.
     """
     specs = [parse_detector_spec(s) for s in cfg.detectors]
     alphabet = make_alphabet(cfg.modulation)
     nbits = alphabet.nbits
     n0s = [snr_to_n0(s, alphabet).n0 for s in cfg.snr_db]
     n_snr = len(n0s)
-    k = 2 * cfg.kc if cfg.kc is not None else cfg.k_real
-    acc = {
-        (d_idx, s_idx): BerAccumulator(k=k, nbits=nbits)
-        for d_idx in range(len(specs))
-        for s_idx in range(n_snr)
-    }
     symbol_errors = np.zeros((len(specs), n_snr), dtype=np.int64)
     bit_errors = np.zeros((len(specs), n_snr, nbits), dtype=np.int64)
+    gain_counts = np.zeros((len(specs), n_snr), dtype=np.int64)
+    gain_sums = [[] for _ in range(len(specs) * n_snr)]
     times = np.zeros((len(specs), n_snr), dtype=np.int64)
     exhausted = 0
 
     for trial in trial_indices:
         rng = np.random.default_rng([cfg.seed, trial])
         h = _trial_channel(cfg, rng)
-        x = np.empty((n_snr, k))
+        x = np.empty((n_snr, h.shape[1]))
         y = np.empty((n_snr, h.shape[0]))
         for s_idx, n0 in enumerate(n0s):
-            x[s_idx] = random_symbols(rng, alphabet, k)
+            x[s_idx] = random_symbols(rng, alphabet, h.shape[1])
             y[s_idx] = h @ x[s_idx] + np.sqrt(n0 / 2.0) * rng.standard_normal(h.shape[0])
         truth_bits = symbol_to_bits(x, nbits)
 
         for d_idx, spec in enumerate(specs):
             det = build_detector(spec, cfg)
+            # (n0 of the fit, SNR points detected on it)
             if _noise_dependent(spec):
-                symbols = np.empty_like(x)
-                for s_idx, n0 in enumerate(n0s):
-                    t0 = time.perf_counter_ns()
-                    det.fit(h, n0=n0)
-                    gains = _gains(det)
-                    exhausted += _count_exhausted(det, spec)
-                    symbols[s_idx] = det.predict(y[s_idx])
-                    times[d_idx, s_idx] += time.perf_counter_ns() - t0
-                    acc[(d_idx, s_idx)].add_gains(trial, gains)
+                fits = [(n0, [s_idx]) for s_idx, n0 in enumerate(n0s)]
             else:
+                fits = [(0.0, list(range(n_snr)))]
+            symbols = np.empty_like(x)
+            for n0, points in fits:
                 t0 = time.perf_counter_ns()
-                det.fit(h)
-                gains = _gains(det)
+                det.fit(h, n0=n0)
+                gains = detector_gains(det) if isinstance(det, MZFDetector) else []
                 exhausted += _count_exhausted(det, spec)
-                symbols = det.predict(y)
-                times[d_idx] += (time.perf_counter_ns() - t0) // n_snr
-                for s_idx in range(n_snr):
-                    acc[(d_idx, s_idx)].add_gains(trial, gains)
+                symbols[points] = det.predict(y[points])
+                times[d_idx, points] += (time.perf_counter_ns() - t0) // len(points)
+                if gains:
+                    total = math.fsum(g.gain_db for g in gains)
+                    for s_idx in points:
+                        gain_sums[d_idx * n_snr + s_idx].append(total)
+                    gain_counts[d_idx, points] += len(gains)
             symbol_errors[d_idx] += np.sum(symbols != x, axis=1)
             bit_errors[d_idx] += np.sum(symbol_to_bits(symbols, nbits) != truth_bits, axis=1)
-
-    n_trials = len(trial_indices)
-    for (d_idx, s_idx), cell in acc.items():
-        cell._add(
-            n_trials,
-            int(symbol_errors[d_idx, s_idx]),
-            n_trials * k,
-            bit_errors[d_idx, s_idx],
-            n_trials * k,
-        )
-    return acc, times, exhausted
+    return symbol_errors, bit_errors, gain_counts, times, exhausted, gain_sums
 
 
 def _worker_count(cfg: SimConfig) -> int:
@@ -290,20 +271,17 @@ def run_experiment(cfg: SimConfig) -> list[SimRecord]:
     cfg.validate()
     workers = _worker_count(cfg)
     if workers == 1:
-        acc, times, exhausted = _run_trials(cfg, range(cfg.trials))
+        parts = [_run_trials(cfg, range(cfg.trials))]
     else:
-        parts = _chunks(cfg.trials, workers)
+        chunks = _chunks(cfg.trials, workers)
         with _pool_context().Pool(workers) as pool:
-            results = pool.starmap(_run_trials, [(cfg, part) for part in parts])
-        acc, times, exhausted = results[0]
-        for other_acc, other_times, other_exhausted in results[1:]:
-            times += other_times
-            exhausted += other_exhausted
-            for key, cell in other_acc.items():
-                if key in acc:
-                    acc[key].merge(cell)
-                else:
-                    acc[key] = cell
+            parts = pool.starmap(_run_trials, [(cfg, chunk) for chunk in chunks])
+    # counts are exact integers and every gain sum is kept, so the totals do
+    # not depend on how the trials were split
+    symbol_errors, bit_errors, gain_counts, times, exhausted = (
+        sum(column) for column in zip(*(part[:5] for part in parts))
+    )
+    gain_sums = [sum(cells, []) for cells in zip(*(part[5] for part in parts))]
     if exhausted:
         print(
             f"warning: {exhausted} sphere searches hit the node budget and "
@@ -311,31 +289,29 @@ def run_experiment(cfg: SimConfig) -> list[SimRecord]:
             file=sys.stderr,
         )
 
-    nbits = make_alphabet(cfg.modulation).nbits
+    # every rate divides two integers below 2**53 in float64: the exact
+    # quotient, correctly rounded
+    nbits = bit_errors.shape[-1]
+    counted = cfg.trials * (2 * cfg.kc if cfg.kc is not None else cfg.k_real)
+    ser = (symbol_errors / counted).ravel().tolist()
+    bers = np.concatenate(
+        [bit_errors / counted, bit_errors.sum(axis=-1, keepdims=True) / (nbits * counted)],
+        axis=-1,
+    ).reshape(len(ser), -1).tolist()
+    # fsum rounds the exact sum, so the order of the per-trial sums is moot
+    gains = [
+        math.fsum(sums) / count if count else 0.0
+        for sums, count in zip(gain_sums, gain_counts.ravel().tolist())
+    ]
+    ms = (times // 1_000_000).ravel().tolist() if cfg.timing else [0] * len(ser)
     bit_layers = [str(j) for j in range(1, nbits + 1)] + ["all"]
-    specs = [parse_detector_spec(s) for s in cfg.detectors]
-    records = []
-    for d_idx, spec in enumerate(specs):
-        for s_idx, snr in enumerate(cfg.snr_db):
-            cell = acc[(d_idx, s_idx)]
-            ms = int(times[d_idx, s_idx] // 1_000_000) if cfg.timing else 0
-            ser = float(cell.ser)
-            gain = float(cell.mean_gain_db)
-            bers = [float(cell.ber_layer(j)) for j in range(1, nbits + 1)] + [float(cell.ber)]
-            for bit_layer, ber in zip(bit_layers, bers):
-                records.append(
-                    SimRecord(
-                        detector=spec.label,
-                        snr_db=float(snr),
-                        bit_layer=bit_layer,
-                        ber=ber,
-                        ser=ser,
-                        mean_gain_db=gain,
-                        trials=cell.trials,
-                        wall_time_ms=ms,
-                    )
-                )
-    return records
+    labels = [parse_detector_spec(d).label for d in cfg.detectors]
+    cells = [(label, float(snr)) for label in labels for snr in cfg.snr_db]
+    return [
+        SimRecord(label, snr, bit_layer, ber, ser_i, gain, cfg.trials, ms_i)
+        for (label, snr), ser_i, gain, ms_i, cell_bers in zip(cells, ser, gains, ms, bers)
+        for bit_layer, ber in zip(bit_layers, cell_bers)
+    ]
 
 
 def _fmt(value) -> str:

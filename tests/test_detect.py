@@ -28,6 +28,7 @@ from mzf.detect import (
     optimize_alpha,
 )
 from mzf.metrics import detector_gains, snr_to_n0
+from util_exact import ml_grid
 
 H_REF = np.array(
     [[-6, 0, -1, 5], [-3, -2, -1, 1], [1, -5, -6, 0], [1, -1, -3, -2]], dtype=float
@@ -397,15 +398,53 @@ class TestML:
             det = MLDetector(modulation=m).fit(h)
             assert np.array_equal(det.detect(y).symbols, x)
 
-    def test_candidate_guard(self):
-        with pytest.raises(ValueError, match="candidates"):
-            MLDetector(modulation=64, max_candidates=100).fit(np.eye(4))
+    def test_noiseless_recovery_past_the_grid(self):
+        # kc = 6 at 16-QAM: 4**12 = 1.7e7 symbol vectors, more than a grid
+        # search could score per observation
+        rng = np.random.default_rng(15)
+        h = embed_complex(generate_channel(rng, 6))
+        x = make_alphabet(16).points[rng.integers(0, 4, size=(20, 12))].astype(float)
+        assert np.array_equal(MLDetector(modulation=16).fit(h).predict(x @ h.T), x)
+
+    def test_equals_the_grid_oracle(self):
+        # kc = 2 and 3 at M = 4, 16 and 64 (8**6 grid points at the largest),
+        # 10 observations at each of 0, 4, ..., 32 dB on 4 channels each
+        rng = np.random.default_rng(14)
+        snrs = np.arange(0.0, 33.0, 4.0)
+        checked = 0
+        for kc in (2, 3):
+            for m in (4, 16, 64):
+                alphabet = make_alphabet(m)
+                sigma = np.sqrt([snr_to_n0(s, alphabet).n0 / 2.0 for s in snrs])
+                sigma = np.repeat(sigma, 10)[:, None]
+                for _ in range(4):
+                    h = embed_complex(generate_channel(rng, kc))
+                    x = alphabet.points[rng.integers(0, alphabet.sqrt_m, (len(sigma), 2 * kc))]
+                    y = x @ h.T + sigma * rng.standard_normal((len(sigma), 2 * kc))
+                    got = MLDetector(modulation=m).fit(h).predict(y)
+                    assert np.array_equal(got, ml_grid(h, y, alphabet))
+                    checked += len(y)
+        assert checked >= 2000
 
     def test_lexicographic_ties(self):
         # an all-zero channel makes every candidate equidistant
         det = MLDetector(modulation=4).fit(np.zeros((2, 2)) + np.eye(2) * 1e-300)
         got = det.detect(np.zeros(2))
         assert got.symbols.tolist() == [-1.0, -1.0]
+
+    @pytest.mark.parametrize("m,scale,y", [
+        (16, 1.0, [0.0, 0.0, 0.0]),     # ties between +-1 on every layer
+        (16, 1.0, [2.0, 0.0, -2.0]),
+        (64, 1e-300, [0.0, 0.0, 0.0]),  # every distance underflows to 0
+    ])
+    def test_lexicographic_ties_in_the_box(self, m, scale, y):
+        h, y = scale * np.eye(3), np.array(y)
+        got = MLDetector(modulation=m).fit(h).predict(y)
+        assert np.array_equal(got, ml_grid(h, y[None], make_alphabet(m))[0])
+
+    def test_rejects_dependent_columns(self):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            MLDetector(modulation=16).fit(np.array([[1.0, 0.0], [2.0, 0.0]]))
 
 
 class TestLAR:
@@ -594,8 +633,12 @@ class TestBlockDetection:
     DETECT_DIGEST = "33bf7733f0a317b17016c6925968e426ea2f5cdb1b0b08b1784f632a03f2be80"
     PREDICT_DIGEST = "d1b1e92c9207734712294c61f6ee8a44b24d2b10bcc375b558ab9ed6fca3a30f"
     # the same digests on _baseline_grid, made with the row-by-row detection
-    # the ZF, LMMSE, LAR and ML block kernels replaced
-    BASELINE_DETECT_DIGEST = "702cd0a1dbaad7f6383253b9a44855ebcfae1fe6abc178c0222ade89108daf0d"
+    # the ZF, LMMSE, LAR and ML block kernels replaced; the detect digest
+    # was re-made when the ML layer_z became H x of the decision row by row
+    # (the grid search took it from a GEMM over every candidate, which
+    # rounds differently), and with the grid's layer_z it is still
+    # 702cd0a1dbaad7f6383253b9a44855ebcfae1fe6abc178c0222ade89108daf0d
+    BASELINE_DETECT_DIGEST = "ee92e52ffebc07f7158d5e4efbe979ebb488cbf9af7ba3db5be900c49306a4b9"
     BASELINE_PREDICT_DIGEST = "ec15fce4a582315dee5da02e35acf9cb6607bf73c346ea532c49a0d28e54222f"
     # sha256 of the ML detect() symbols and bits alone, row by row on
     # _baseline_grid, made with the exhaustive grid search: what any exact
@@ -712,6 +755,8 @@ class TestFitMemo:
         # answered from the memo entirely and some in part
         seen = set()
         for h, n0, det in _fit_configs():
+            if det.solver == "brute":  # it reduces nothing, so shares nothing
+                continue
             monkeypatch.setattr(intsearch, "_last_reduction", None)
             cold = copy.copy(det).fit(h, n0=n0)
             warm_up = copy.copy(det)

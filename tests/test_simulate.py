@@ -5,9 +5,14 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from mzf.detect import MimoDetector
+from mzf import detect, intsearch
+from mzf.alphabet import make_alphabet, random_symbols, symbol_to_bits
+from mzf.channel import embed_complex, generate_channel
+from mzf.detect import MimoDetector, ZFDetector
+from mzf.metrics import snr_to_n0
 from mzf.simulate import (
     CSV_COLUMNS,
     SimConfig,
@@ -96,6 +101,43 @@ class TestRunExperiment:
             files.append(path.read_bytes())
         assert files[0] == files[1] == files[2]
 
+    def test_worker_count_does_not_change_merged_counts(self, tmp_path):
+        # ML, and detectors fitted once per SNR point whose gain sums and
+        # counts differ per cell; 7 trials split unevenly over 2 and 3 parts
+        cfg = dataclasses.replace(
+            BASE, trials=7, detectors=("ml", "lmmse", "mzf+lmmse:sd", "mzf-ext2:sd")
+        )
+        files = []
+        for workers in (1, 2, 3):
+            path = tmp_path / f"w{workers}.csv"
+            emit(run_experiment(dataclasses.replace(cfg, workers=workers)), "csv", str(path))
+            files.append(path.read_bytes())
+        assert files[0] == files[1] == files[2]
+
+    def test_rates_match_a_hand_count(self):
+        # the draws of every trial in their order, detected and counted here
+        # one observation at a time
+        cfg = dataclasses.replace(BASE, modulation=16, trials=6, detectors=("zf",))
+        alphabet = make_alphabet(16)
+        errors = np.zeros((len(cfg.snr_db), 3), dtype=np.int64)  # symbols, bit layers
+        for trial in range(cfg.trials):
+            rng = np.random.default_rng([cfg.seed, trial])
+            h = embed_complex(generate_channel(rng, cfg.kc))
+            det = ZFDetector(16).fit(h)
+            for s, snr in enumerate(cfg.snr_db):
+                x = random_symbols(rng, alphabet, 4)
+                sigma = np.sqrt(snr_to_n0(snr, alphabet).n0 / 2.0)
+                got = det.predict(h @ x + sigma * rng.standard_normal(4))
+                errors[s, 0] += np.sum(got != x)
+                errors[s, 1:] += np.sum(symbol_to_bits(got, 2) != symbol_to_bits(x, 2), axis=0)
+        n = cfg.trials * 4
+        records = run_experiment(cfg)
+        assert errors[:, 1:].min() > 0
+        for s, (low, high, both) in enumerate(zip(*[iter(records)] * 3)):
+            assert low.ser == high.ser == both.ser == errors[s, 0] / n
+            assert (low.ber, high.ber) == (errors[s, 1] / n, errors[s, 2] / n)
+            assert both.ber == (errors[s, 1] + errors[s, 2]) / (2 * n)
+
     def test_noiseless_limit_has_zero_errors(self):
         cfg = dataclasses.replace(
             BASE, snr_db=(60.0,), trials=100, detectors=("zf",)
@@ -175,6 +217,37 @@ class TestBatching:
             ("LMMSEDetector", "fit"): trials * points,
             ("LMMSEDetector", "predict"): trials * points,
         }
+
+
+@pytest.mark.usefixtures("fresh_reduction_memo")
+class TestReductions:
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        """Calls of lll_reduce, through the memo in intsearch or directly
+        from detect."""
+        calls = []
+        real = intsearch.lll_reduce
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(intsearch, "lll_reduce", counted)
+        monkeypatch.setattr(detect, "lll_reduce", counted)
+        return calls
+
+    def test_brute_solver_reduces_nothing(self, reductions):
+        run_experiment(dataclasses.replace(BASE, trials=5, detectors=("mzf:brute",)))
+        assert len(reductions) == 0
+
+    def test_lar_keeps_the_modulus_detectors_reduction(self, reductions):
+        # per trial one reduction of the ZF basis, shared by both modulus
+        # detectors, and one of H for LAR
+        cfg = dataclasses.replace(
+            BASE, modulation=16, trials=5, detectors=("mzf:sd", "lar", "mzf-ext2:sd")
+        )
+        run_experiment(cfg)
+        assert len(reductions) == 10
 
 
 class TestEmit:

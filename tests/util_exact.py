@@ -1,4 +1,7 @@
-"""Exact integer helpers shared by tests."""
+"""Exact helpers shared by tests: integer determinants and the exhaustive
+ML oracle."""
+
+import numpy as np
 
 
 def int_det(matrix) -> int:
@@ -20,3 +23,19 @@ def int_det(matrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def ml_grid(h, y, alphabet):
+    """Exhaustive ML decisions for every row of the block y: the symbol
+    vector of least ||y - H x||^2 over the full sqrt(M)**K grid, the
+    lexicographically smallest of exactly tied ones (the grid runs in
+    ascending order and the first minimum wins)."""
+    k = h.shape[1]
+    pts = alphabet.points.astype(float)
+    grid = pts[np.indices((alphabet.sqrt_m,) * k).reshape(k, -1).T]
+    images = grid @ h.T
+    out = np.empty((len(y), k))
+    for i, row in enumerate(y):
+        resid = images - row
+        out[i] = grid[np.argmin(np.einsum("ij,ij->i", resid, resid))]
+    return out
