@@ -1,8 +1,12 @@
 """Command line behavior: grids, config files, subcommands."""
 
+import dataclasses
+
 import pytest
 
+from mzf import cli
 from mzf.cli import load_config_file, main, parse_snr_grid
+from mzf.simulate import SimConfig
 
 
 class TestSnrGrid:
@@ -33,6 +37,57 @@ class TestConfigFile:
         path.write_text("just words\n")
         with pytest.raises(ValueError):
             load_config_file(str(path))
+
+
+@pytest.fixture
+def built_config(monkeypatch):
+    """The SimConfig `mzf ber` builds from its arguments, caught in place of
+    the run."""
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg) or [])
+    monkeypatch.setattr(cli, "emit", lambda records, fmt, path: None)
+
+    def build(argv):
+        assert main(["ber", *argv, "--out", "unused.csv"]) == 0
+        return seen.pop()
+
+    return build
+
+
+class TestOptionSources:
+    @pytest.mark.parametrize(
+        "entries, flags",
+        [
+            (
+                "kc=2\nsnr=0:5:10\ndetectors=zf, ml\n",
+                ["--kc", "2", "--snr", "0:5:10", "--detectors", "zf, ml"],
+            ),
+            (
+                "dim=3\nmod=16\ntrials=7\nseed=4\nlll-delta=0.9\nsd-budget=500\n"
+                "brute-bound=3\nparity=paper-literal\nlar-mode=literal\n"
+                "noise-weighting=physical\nworkers=2\ntiming=no\n",
+                ["--dim", "3", "--mod", "16", "--trials", "7", "--seed", "4",
+                 "--lll-delta", "0.9", "--sd-budget", "500", "--brute-bound", "3",
+                 "--parity", "paper-literal", "--lar-mode", "literal",
+                 "--noise-weighting", "physical", "--workers", "2", "--no-timing"],
+            ),
+        ],
+    )
+    def test_config_file_entries_parse_like_flags(self, entries, flags, tmp_path, built_config):
+        path = tmp_path / "run.cfg"
+        path.write_text(entries)
+        from_file = built_config(["--config", str(path)])
+        assert from_file == built_config(flags)
+        assert from_file != SimConfig()
+
+    def test_list_entries(self, tmp_path, built_config):
+        path = tmp_path / "run.cfg"
+        path.write_text("kc=2\nsnr=0:5:10\ndetectors=zf, ml\n")
+        cfg = built_config(["--config", str(path)])
+        assert (cfg.snr_db, cfg.detectors) == ((0.0, 5.0, 10.0), ("zf", "ml"))
+
+    def test_unset_options_keep_the_simconfig_defaults(self, built_config):
+        assert built_config(["--kc", "2"]) == dataclasses.replace(SimConfig(), kc=2)
 
 
 class TestMain:
@@ -78,6 +133,10 @@ class TestMain:
 
     def test_example_literal_mode(self, capsys):
         assert main(["example", "--parity", "paper-literal"]) == 0
+
+    def test_selftest_subcommand_is_gone(self, capsys):
+        err = self._usage_error(["selftest"], capsys)
+        assert "invalid choice: 'selftest'" in err
 
     def test_snrgain_writes_per_order_files(self, tmp_path, capsys):
         out = tmp_path / "gains.csv"

@@ -292,6 +292,22 @@ class TestGainExperiment:
         with pytest.raises(ValueError):
             run_gain_experiment(cfg)
 
+    def test_worker_count_does_not_change_gain_samples(self, tmp_path):
+        # the bit-wise variant has two stages per layer at 16-QAM, so a trial
+        # repeats each layer number; 7 trials split unevenly over 2 and 3 parts
+        cfg = dataclasses.replace(
+            BASE, modulation=16, detectors=("mzf-ext2:sd",), trials=7
+        )
+        files = []
+        for workers in (1, 2, 3):
+            path = tmp_path / f"w{workers}.csv"
+            emit_gain_samples(
+                run_gain_experiment(dataclasses.replace(cfg, workers=workers)), str(path)
+            )
+            files.append(path.read_bytes())
+        assert files[0] == files[1] == files[2]
+        assert len(files[0].splitlines()) == 1 + 7 * 2 * BASE.kc * 2
+
     def test_emit_gain_csv(self, tmp_path):
         cfg = dataclasses.replace(BASE, detectors=("mzf:sd",), trials=3)
         path = tmp_path / "gains.csv"
