@@ -1,5 +1,5 @@
-"""Command line front end: BER sweeps, SNR-gain sampling, the exact worked
-example, and a quick self test.
+"""Command line front end: BER sweeps, SNR-gain sampling and the exact
+worked example.
 
 Options may also come from a key=value config file (--config); explicit
 flags win over file entries, which win over defaults.
@@ -57,60 +57,68 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _merged(args, file_values: dict, key: str, default, convert=None):
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in file_values:
-        raw = file_values[key]
-        return convert(raw) if convert else raw
-    return default
+def _as_bool(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes", "on")
+
+
+def _as_list(text: str) -> tuple[str, ...]:
+    return tuple(d.strip() for d in text.split(",") if d.strip())
+
+
+# config-file key, which is also the flag name -> (SimConfig field, text
+# parser); an option set by neither keeps the SimConfig default
+OPTIONS = {
+    "kc": ("kc", int),
+    "dim": ("k_real", int),
+    "mod": ("modulation", int),
+    "snr": ("snr_db", parse_snr_grid),
+    "trials": ("trials", int),
+    "detectors": ("detectors", _as_list),
+    "seed": ("seed", int),
+    "lll-delta": ("lll_delta", float),
+    "sd-budget": ("sd_budget", int),
+    "brute-bound": ("brute_bound", int),
+    "parity": ("parity_mode", str),
+    "lar-mode": ("lar_mode", str),
+    "noise-weighting": ("noise_weighting", str),
+    "timing": ("timing", _as_bool),
+    "workers": ("workers", int),
+}
 
 
 def _build_config(args) -> SimConfig:
     file_values = load_config_file(args.config) if args.config else {}
-    as_int = int
-    as_float = float
-    as_bool = lambda s: s.lower() in ("1", "true", "yes", "on")
-    kc = _merged(args, file_values, "kc", None, as_int)
-    k_real = _merged(args, file_values, "dim", None, as_int)
-    detectors = _merged(
-        args, file_values, "detectors", "zf,mzf:sd", str
-    )
-    if isinstance(detectors, str):
-        detectors = tuple(d.strip() for d in detectors.split(",") if d.strip())
-    snr = _merged(args, file_values, "snr", "10", str)
-    if isinstance(snr, str):
-        snr = parse_snr_grid(snr)
-    timing = _merged(args, file_values, "timing", True, as_bool)
-    if getattr(args, "no_timing", False):
-        timing = False
-    return SimConfig(
-        modulation=_merged(args, file_values, "mod", 4, as_int),
-        kc=kc,
-        k_real=k_real,
-        snr_db=snr,
-        trials=_merged(args, file_values, "trials", 1000, as_int),
-        detectors=detectors,
-        seed=_merged(args, file_values, "seed", 0, as_int),
-        lll_delta=_merged(args, file_values, "lll-delta", 0.75, as_float),
-        sd_budget=_merged(args, file_values, "sd-budget", 10**6, as_int),
-        brute_bound=_merged(args, file_values, "brute-bound", 8, as_int),
-        parity_mode=_merged(args, file_values, "parity", "derived", str),
-        lar_mode=_merged(args, file_values, "lar-mode", "shifted", str),
-        noise_weighting=_merged(args, file_values, "noise-weighting", "printed", str),
-        timing=timing,
-        workers=_merged(args, file_values, "workers", 1, as_int),
-    )
+    unknown = sorted(set(file_values) - set(OPTIONS))
+    if unknown:
+        raise ValueError(
+            f"unknown config keys {unknown} in {args.config}; valid keys are {sorted(OPTIONS)}"
+        )
+    fields = {}
+    for key, (field, parse) in OPTIONS.items():
+        # argparse has already parsed a numeric flag with the same int or float
+        value = getattr(args, key.replace("-", "_"), None)
+        if value is None:
+            value = file_values.get(key)
+        if isinstance(value, str):
+            value = parse(value)
+        if value is not None:
+            fields[field] = value
+    if args.no_timing:
+        fields["timing"] = False
+    return SimConfig(**fields)
 
 
 def _add_common_options(sub):
     sub.add_argument("--kc", type=int, help="complex antennas; real dimension is 2*kc")
     sub.add_argument("--dim", type=int, help="unstructured real channel dimension")
-    sub.add_argument("--mod", type=int, help="QAM order (power of 4), default 4")
-    sub.add_argument("--trials", type=int, help="Monte Carlo trials, default 1000")
-    sub.add_argument("--seed", type=int, help="base seed, default 0")
-    sub.add_argument("--lll-delta", type=float, help="reduction parameter, default 0.75")
+    sub.add_argument(
+        "--mod", type=int, help=f"QAM order (power of 4), default {SimConfig.modulation}"
+    )
+    sub.add_argument("--trials", type=int, help=f"Monte Carlo trials, default {SimConfig.trials}")
+    sub.add_argument("--seed", type=int, help=f"base seed, default {SimConfig.seed}")
+    sub.add_argument(
+        "--lll-delta", type=float, help=f"reduction parameter, default {SimConfig.lll_delta}"
+    )
     sub.add_argument("--sd-budget", type=int, help="sphere search node budget")
     sub.add_argument("--brute-bound", type=int, help="box bound for the brute solver")
     sub.add_argument("--parity", choices=PARITY_MODES, help="fold branch rule")
@@ -147,9 +155,6 @@ def main(argv=None) -> int:
     example = subs.add_parser("example", help="run the exact 4x4 worked example")
     example.add_argument("--parity", choices=PARITY_MODES, default="derived")
 
-    selftest = subs.add_parser("selftest", help="quick property suites")
-    selftest.add_argument("--seed", type=int, default=0)
-
     args = parser.parse_args(argv)
 
     if args.command == "example":
@@ -161,16 +166,6 @@ def main(argv=None) -> int:
             print(f"NOTE {note}")
         print("worked example:", "PASS" if report.passed else "FAIL")
         return 0 if report.passed else 1
-
-    if args.command == "selftest":
-        from .selftest import run_selftest
-
-        results = run_selftest(seed=args.seed)
-        for r in results:
-            print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
-        ok = all(r.passed for r in results)
-        print("selftest:", "PASS" if ok else "FAIL")
-        return 0 if ok else 1
 
     # a bad option or environment value is a usage error: message, exit 2
     try:

@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,16 +36,16 @@ from .detect import (
     ZFDetector,
     _check_choice,
 )
+from .intsearch import check_count
 from .metrics import detector_gains, snr_to_n0
 
-DETECTOR_KINDS = ("zf", "lmmse", "ml", "lar", "mzf", "mzf-ext1", "mzf-ext2", "mzf-ext3")
 MZF_KIND_VARIANTS = {
     "mzf": "plain",
     "mzf-ext1": "scaled-alpha",
     "mzf-ext2": "bitwise",
     "mzf-ext3": "feedback",
 }
-CSV_COLUMNS = ("detector", "snr_db", "bit_layer", "ber", "ser", "mean_gain_db", "trials", "wall_time_ms")
+DETECTOR_KINDS = ("zf", "lmmse", "ml", "lar", *MZF_KIND_VARIANTS)
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class DetectorSpec:
 
 
 def parse_detector_spec(text: str) -> DetectorSpec:
-    body, _, solver = text.partition(":")
+    body, solver_suffix, solver = text.partition(":")
     kind, _, equalizer = body.partition("+")
     kind = kind.strip().lower()
     if kind not in DETECTOR_KINDS:
@@ -79,6 +80,8 @@ def parse_detector_spec(text: str) -> DetectorSpec:
         raise ValueError(f"unknown solver {solver!r} in {text!r}")
     if kind not in MZF_KIND_VARIANTS and equalizer != "zf":
         raise ValueError(f"detector {kind!r} takes no equalizer suffix")
+    if kind not in MZF_KIND_VARIANTS and solver_suffix:
+        raise ValueError(f"detector {kind!r} takes no solver suffix")
     return DetectorSpec(kind=kind, equalizer=equalizer, solver=solver)
 
 
@@ -103,22 +106,21 @@ class SimConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        check_count(self.trials, "trials", 1)
         if not self.snr_db:
             raise ValueError("snr_db must not be empty")
         if not all(math.isfinite(s) for s in self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if (self.kc is None) == (self.k_real is None):
             raise ValueError("exactly one of kc and k_real must be set")
-        if self.kc is not None and self.kc < 1:
-            raise ValueError(f"kc must be >= 1, got {self.kc}")
-        if self.k_real is not None and self.k_real < 1:
-            raise ValueError(f"k_real must be >= 1, got {self.k_real}")
+        if self.kc is not None:
+            check_count(self.kc, "kc", 1)
+        if self.k_real is not None:
+            check_count(self.k_real, "k_real", 1)
         if not self.detectors:
             raise ValueError("detectors must not be empty")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        check_count(self.workers, "workers", 1)
+        check_count(self.seed, "seed", 0)
         make_alphabet(self.modulation)  # raises on a bad modulation order
         _check_choice("parity_mode", self.parity_mode, PARITY_MODES)
         _check_choice("lar_mode", self.lar_mode, LAR_MODES)
@@ -130,8 +132,7 @@ class SimConfig:
             build_detector(spec, self)._validate_params()
 
 
-@dataclass(frozen=True)
-class SimRecord:
+class SimRecord(NamedTuple):
     detector: str
     snr_db: float
     bit_layer: str  # "1", "2", ... or "all"
@@ -141,8 +142,8 @@ class SimRecord:
     trials: int
     wall_time_ms: int
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in CSV_COLUMNS}
+
+CSV_COLUMNS = SimRecord._fields
 
 
 def build_detector(spec: DetectorSpec, cfg: SimConfig):
@@ -265,17 +266,21 @@ def _chunks(n_trials: int, n_chunks: int) -> list[list[int]]:
     return [list(range(i, n_trials, n_chunks)) for i in range(n_chunks)]
 
 
-def run_experiment(cfg: SimConfig) -> list[SimRecord]:
-    """Run the configured sweep and return one record per
-    (detector, SNR point, bit layer) plus an aggregate "all" row each."""
+def _map_trials(run, cfg: SimConfig) -> list:
+    """Validate cfg and return run(cfg, trial_indices) over all its trials:
+    one part in this process, or one per worker process, in chunk order."""
     cfg.validate()
     workers = _worker_count(cfg)
     if workers == 1:
-        parts = [_run_trials(cfg, range(cfg.trials))]
-    else:
-        chunks = _chunks(cfg.trials, workers)
-        with _pool_context().Pool(workers) as pool:
-            parts = pool.starmap(_run_trials, [(cfg, chunk) for chunk in chunks])
+        return [run(cfg, range(cfg.trials))]
+    with _pool_context().Pool(workers) as pool:
+        return pool.starmap(run, [(cfg, chunk) for chunk in _chunks(cfg.trials, workers)])
+
+
+def run_experiment(cfg: SimConfig) -> list[SimRecord]:
+    """Run the configured sweep and return one record per
+    (detector, SNR point, bit layer) plus an aggregate "all" row each."""
+    parts = _map_trials(_run_trials, cfg)
     # counts are exact integers and every gain sum is kept, so the totals do
     # not depend on how the trials were split
     symbol_errors, bit_errors, gain_counts, times, exhausted = (
@@ -329,10 +334,10 @@ def emit(records: list[SimRecord], fmt: str, path: str) -> None:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
             for rec in records:
-                writer.writerow([_fmt(v) for v in rec.as_dict().values()])
+                writer.writerow([_fmt(v) for v in rec])
     elif fmt == "json":
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            json.dump([rec.as_dict() for rec in records], fh, indent=2)
+            json.dump([rec._asdict() for rec in records], fh, indent=2)
             fh.write("\n")
     else:
         raise ValueError(f"unknown output format {fmt!r}")
@@ -367,14 +372,7 @@ def _gain_trials(cfg: SimConfig, trial_indices) -> list[GainSample]:
 
 def run_gain_experiment(cfg: SimConfig) -> list[GainSample]:
     """Per-layer post-processing SNR gain samples over random channels."""
-    cfg.validate()
-    workers = _worker_count(cfg)
-    if workers == 1:
-        return _gain_trials(cfg, range(cfg.trials))
-    parts = _chunks(cfg.trials, workers)
-    with _pool_context().Pool(workers) as pool:
-        results = pool.starmap(_gain_trials, [(cfg, part) for part in parts])
-    samples = [s for part in results for s in part]
+    samples = [s for part in _map_trials(_gain_trials, cfg) for s in part]
     samples.sort(key=lambda s: (s.trial, s.layer))
     return samples
 

@@ -72,6 +72,7 @@ class TestOptionSources:
                  "--noise-weighting", "physical", "--workers", "2", "--no-timing"],
             ),
         ],
+        ids=["lists", "every-key"],
     )
     def test_config_file_entries_parse_like_flags(self, entries, flags, tmp_path, built_config):
         path = tmp_path / "run.cfg"
@@ -79,12 +80,6 @@ class TestOptionSources:
         from_file = built_config(["--config", str(path)])
         assert from_file == built_config(flags)
         assert from_file != SimConfig()
-
-    def test_list_entries(self, tmp_path, built_config):
-        path = tmp_path / "run.cfg"
-        path.write_text("kc=2\nsnr=0:5:10\ndetectors=zf, ml\n")
-        cfg = built_config(["--config", str(path)])
-        assert (cfg.snr_db, cfg.detectors) == ((0.0, 5.0, 10.0), ("zf", "ml"))
 
     def test_unset_options_keep_the_simconfig_defaults(self, built_config):
         assert built_config(["--kc", "2"]) == dataclasses.replace(SimConfig(), kc=2)
@@ -192,6 +187,8 @@ class TestMain:
                 "brute_bound must be >= 0, got -3",
             ),
             (["--snr", "nan"], "snr_db must be finite"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
+            (["--detectors", "zf:lll"], "detector 'zf' takes no solver suffix"),
         ],
     )
     def test_bad_option_value_is_a_usage_error(self, flags, message, tmp_path, capsys):
@@ -210,4 +207,13 @@ class TestMain:
                 "--detectors", "zf", "--out", str(out)]
         err = self._usage_error(argv, capsys)
         assert "mzf: error: noise_weighting must be one of" in err
+        assert not out.exists()
+
+    def test_unknown_config_key_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trails=3\nkc=2\n")
+        out = tmp_path / "run.csv"
+        err = self._usage_error(["ber", "--config", str(cfg), "--out", str(out)], capsys)
+        assert "mzf: error: unknown config keys ['trails']" in err
+        assert "valid keys are [" in err and "'trials'" in err
         assert not out.exists()

@@ -49,7 +49,9 @@ class TestDetectorSpecs:
     def test_mzf_label_is_canonical(self):
         assert parse_detector_spec("mzf").label == "mzf:sd"
 
-    @pytest.mark.parametrize("bad", ["zfx", "mzf:fast", "mzf+mmse", "zf+lmmse"])
+    @pytest.mark.parametrize(
+        "bad", ["zfx", "mzf:fast", "mzf+mmse", "zf+lmmse", "zf:lll", "ml:brute"]
+    )
     def test_rejects_bad_specs(self, bad):
         with pytest.raises(ValueError):
             parse_detector_spec(bad)
@@ -78,6 +80,11 @@ class TestConfigValidation:
             ({"lll_delta": 2.0}, "lll_delta"),
             ({"sd_budget": 0}, "sd_budget"),
             ({"brute_bound": -1}, "brute_bound"),
+            ({"trials": True}, "trials must be an integer, got True"),
+            ({"kc": 1.5}, "kc must be an integer, got 1.5"),
+            ({"kc": None, "k_real": 2.5}, "k_real must be an integer, got 2.5"),
+            ({"workers": 2.0}, "workers must be an integer, got 2.0"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
         ],
     )
     def test_invalid_configs_name_the_field(self, kwargs, err_match):
@@ -322,11 +329,11 @@ class TestPairing:
         # a detector listed twice must produce identical records
         cfg = dataclasses.replace(BASE, detectors=("mzf:sd", "mzf:sd"), trials=10)
         records = run_experiment(cfg)
-        first = [dataclasses.replace(r, detector="x") for r in records if r.detector == "mzf:sd"]
+        first = [r._replace(detector="x") for r in records if r.detector == "mzf:sd"]
         # both copies collapse onto the same label; split by position instead
         half = len(records) // 2
-        a = [dataclasses.replace(r, detector="x") for r in records[:half]]
-        b = [dataclasses.replace(r, detector="x") for r in records[half:]]
+        a = [r._replace(detector="x") for r in records[:half]]
+        b = [r._replace(detector="x") for r in records[half:]]
         assert a == b
         assert first  # sanity: the label exists
 
