@@ -383,3 +383,36 @@ class TestRecordsPinned:
         emit(run_experiment(cfg), "csv", str(path))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == RECORD_DIGESTS[(shape, detectors)]
+
+
+# sha256 of the gain CSV bytes of run_gain_experiment at seed 9, 20 trials.
+# Gains read every (stage, layer) search of a fit, so a change to a search,
+# its tie rule or the plan arithmetic that moves one digit fails here
+GAIN_CONFIGS = {
+    "mzf:sd-kc2-16qam": {"detectors": ("mzf:sd",), "kc": 2, "modulation": 16},
+    "mzf-ext2:sd-kreal6-64qam":
+        {"detectors": ("mzf-ext2:sd",), "k_real": 6, "modulation": 64},
+    "mzf-ext1:lll-kc2-4qam": {"detectors": ("mzf-ext1:lll",), "kc": 2, "modulation": 4},
+    "mzf-ext2:brute-kc2-16qam":
+        {"detectors": ("mzf-ext2:brute",), "kc": 2, "modulation": 16},
+}
+GAIN_DIGESTS = {
+    "mzf:sd-kc2-16qam":
+        "3d5406b55147d00641ce225889efff19f5821b8aa449b73051ed02e44a937c72",
+    "mzf-ext2:sd-kreal6-64qam":
+        "d9793f9ea79409cd1f3f50942c9db52b7afc8e90224b39551651a1d8516e141a",
+    "mzf-ext1:lll-kc2-4qam":
+        "ecc52780f9a005f21a197843ea3e956495d6fe014cd1b4e7502d45b6918b2a19",
+    "mzf-ext2:brute-kc2-16qam":
+        "90697270c2672213efa217535f956777d51f4a8249969622fde2f01bdcf8c720",
+}
+
+
+class TestGainsPinned:
+    @pytest.mark.parametrize("name", sorted(GAIN_DIGESTS))
+    def test_csv_bytes(self, tmp_path, name):
+        cfg = SimConfig(trials=20, seed=9, **GAIN_CONFIGS[name])
+        path = tmp_path / "gains.csv"
+        emit_gain_samples(run_gain_experiment(cfg), str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == GAIN_DIGESTS[name]
