@@ -17,7 +17,6 @@ from .simulate import (
     _gain_spec,
     _worker_count,
     emit,
-    emit_gain_samples,
     run_experiment,
     run_gain_experiment,
 )
@@ -149,7 +148,10 @@ def main(argv=None) -> int:
     gain = subs.add_parser("snrgain", help="per-layer post-SNR gain samples")
     _add_common_options(gain)
     gain.add_argument("--mods", help="comma list of QAM orders, e.g. 4,16,64")
-    gain.add_argument("--detector", help="modulus detector id, default mzf:sd")
+    gain.add_argument(
+        "--detector", dest="detectors", metavar="DETECTOR",
+        help="modulus detector id, default mzf:sd",
+    )
     gain.add_argument("--out", required=True, help="output file; {m} expands per order")
 
     example = subs.add_parser("example", help="run the exact 4x4 worked example")
@@ -173,19 +175,16 @@ def main(argv=None) -> int:
         if args.command == "ber":
             configs = [cfg]
         else:
-            detector = args.detector or "mzf:sd"
             mods = (
                 tuple(int(v) for v in args.mods.split(","))
                 if args.mods
                 else (cfg.modulation,)
             )
-            configs = [
-                dataclasses.replace(cfg, modulation=m, detectors=(detector,)) for m in mods
-            ]
+            configs = [dataclasses.replace(cfg, modulation=m) for m in mods]
         for c in configs:
             c.validate()
             if args.command == "snrgain":
-                _gain_spec(c)  # raises unless the detector is a modulus one
+                _gain_spec(c)  # raises unless a modulus detector is listed
             _worker_count(c)  # raises on a malformed MZF_THREADS
     except ValueError as exc:
         parser.error(str(exc))
@@ -208,7 +207,7 @@ def main(argv=None) -> int:
             path = f"{root}_m{m}{dot}{ext}" if dot else f"{args.out}_m{m}"
         else:
             path = args.out
-        emit_gain_samples(samples, path)
+        emit(samples, "csv", path)
         print(f"wrote {len(samples)} gain samples to {path}")
     return 0
 

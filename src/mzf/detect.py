@@ -13,7 +13,7 @@ takes an n_obs x N block; detect() is a block of one row.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,16 +33,16 @@ from .channel import (
     pseudo_inverse,
 )
 from .intsearch import (
-    IlsProblem,
+    _brute_rows,
     _lll_rows,
     _qr_positive,
     _reduce,
     _se_enumerate,
     _solve_sd_rows,
+    _triangle,
     check_count,
     check_lll_delta,
     lll_reduce,
-    solve_brute,
 )
 from .modarith import ParityContext, branch_parity, mod_recover_each
 from .rowwise import apply, dots, times
@@ -239,8 +239,7 @@ class MLDetector(MimoDetector):
     def _block(self, y):
         q, r = self.qr_
         k = self.k_
-        cols = [r[:j, j].tolist() for j in range(k)]
-        diag = np.diag(r).tolist()
+        cols, diag = _triangle(r)
         hi = [self.alphabet_.sqrt_m - 1] * k
         u = np.array([
             _se_enumerate(v, cols, diag, math.inf, 0.0, math.inf, hi)[0]
@@ -385,8 +384,7 @@ class MZFDetector(MimoDetector):
         elif solver == "lll":
             q, _, exact, nodes = _lll_rows(targets, basis, self.reduction_)
         else:
-            sols = [solve_brute(IlsProblem(b, basis), self.brute_bound) for b in targets]
-            q, _, exact, nodes = map(np.array, zip(*(astuple(sol) for sol in sols)))
+            q, _, exact, nodes = _brute_rows(targets, basis, self.brute_bound)
         shape = (len(self.tau_), k)
         self.q_ = q = q.reshape(*shape, k)
         self.exact_, self.nodes_ = exact.reshape(shape), nodes.reshape(shape)
@@ -441,7 +439,7 @@ class MZFDetector(MimoDetector):
 
         Layers are never looped over; only the feedback variant steps
         through its bit stages in sequence.  Every value is rounded as in
-        row-at-a-time detection (see _combine), so a block and its rows one
+        row-at-a-time detection (see rowwise), so a block and its rows one
         by one give identical bytes.
         """
         alphabet = self.alphabet_
@@ -476,7 +474,7 @@ class MZFDetector(MimoDetector):
         """layer_z of one stage: combine y with the rows of plan stage s and
         fold every layer not bypassed, on the branch of bit layer n (0 for
         symbol-wise detection)."""
-        r = _combine(y, self.comb_[s])
+        r = dots(y[:, None], self.comb_[s])
         if self.parity == "paper-literal":
             odd = True
         else:
@@ -484,10 +482,3 @@ class MZFDetector(MimoDetector):
             odd = self.parity_[s] ^ flip
         return np.where(bypass, r, mod_recover_each(r, self.alpha_[s], odd))
 
-
-def _combine(y, rows):
-    """y @ rows.T for an n_obs x N block and K x N rows, as one inner product
-    per (observation, row), each the same dot product as row @ y.  A plain
-    matrix product would run GEMM, whose summation order moves results by an
-    ulp from the single-observation ones."""
-    return np.matmul(y[:, None, None, :], rows[None, :, :, None])[..., 0, 0]

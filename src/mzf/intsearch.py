@@ -18,8 +18,9 @@ A fit searches K targets (one per layer and stage) on one basis, so the row
 search _solve_sd_rows takes a block of targets: the warm starts, the
 reduction-based estimates and every candidate cost are computed for all rows
 at once, each row by the BLAS call one target alone makes (see rowwise), and
-only the enumeration runs row by row.  solve_sd and solve_lll are its
-one-row calls.
+only the enumeration runs row by row.  Each solver answers a block of rows
+(_solve_sd_rows, _lll_rows, and _brute_rows, which builds its box once for
+all rows); solve_sd, solve_lll and solve_brute are their one-row calls.
 
 Fits of one channel at several QAM orders and variants reduce the same
 basis and partly search the same rows, so two memos reuse results that are
@@ -265,21 +266,11 @@ def _solve_sd_rows(targets, B, budget, cache):
     memo = cache.searched
     keys = [(row.tobytes(), budget) for row in targets]
     miss = [i for i, key in enumerate(keys) if key not in memo]
-    if len(miss) == len(keys):
-        return _remember(memo, keys, _search_rows(targets, B, budget, cache))
     if miss:
-        found = _search_rows(targets[miss], B, budget, cache)
-        _remember(memo, [keys[i] for i in miss], found)
+        q, cost, exact, nodes = _search_rows(targets[miss], B, budget, cache)
+        scalars = (a.tolist() for a in (cost, exact, nodes))
+        memo.update(zip((keys[i] for i in miss), zip(_read_only(q.copy()), *scalars)))
     return tuple(map(np.array, zip(*(memo[key] for key in keys))))
-
-
-def _remember(memo, keys, rows):
-    """Store row i of the (q, cost, exact, nodes) arrays rows under keys[i],
-    q as a read-only copy; returns rows."""
-    q, cost, exact, nodes = rows
-    scalars = (a.tolist() for a in (cost, exact, nodes))
-    memo.update(zip(keys, zip(_read_only(q.copy()), *scalars)))
-    return rows
 
 
 def _search_rows(targets, B, budget, cache):
@@ -296,30 +287,29 @@ def _search_rows(targets, B, budget, cache):
     c0 = np.maximum(bb - dots(v, v), 0.0)  # out-of-span residual
 
     # every candidate's cost is evaluated once, in the order zero, the
-    # rounding warm start in reduced coordinates, the reduction-based
-    # estimate and the enumeration's point; without a cache the estimate
-    # is absent and costs inf, and where the enumeration finds nothing its
+    # rounding warm start in reduced coordinates, the two snapped estimates
+    # of _snaps and the enumeration's point; without a cache the estimates
+    # are absent and cost inf, and where the enumeration finds nothing its
     # point stays zero, which ties the first candidate and never wins
-    q = np.zeros((rows, 4, K), dtype=np.int64)
-    cost = np.full((rows, 4), np.inf)
+    q = np.zeros((rows, 5, K), dtype=np.int64)
+    cost = np.full((rows, 5), np.inf)
     cost[:, 0] = bb
     w0 = np.round(np.linalg.solve(r_mat, v[..., None])[..., 0]).astype(np.int64)
     q[:, 1] = 2 * apply(t, w0)
     cost[:, 1] = _cost(targets, B, q[:, 1])
     if cache is not None:
-        q[:, 2], cost[:, 2] = _lll_rows(targets, B, cache)[:2]
+        q[:, 2:4] = _snaps(targets, cache)
+        cost[:, 2] = _cost(targets, B, q[:, 2])
+        cost[:, 3] = _cost(targets, B, q[:, 3])
 
     w = np.zeros((rows, K), dtype=np.int64)
     exact = np.zeros(rows, dtype=bool)
     nodes = np.zeros(rows, dtype=np.int64)
-    # the triangle as lists once for all rows: r_mat may be read-only, and
-    # a view of a read-only array costs more to make
-    cols = [r_mat[:k, k].tolist() for k in range(K)]  # above the diagonal
-    diag = np.diag(r_mat).tolist()
+    cols, diag = _triangle(r_mat)
     for i, (best, c0_i) in enumerate(zip(cost.min(axis=1).tolist(), c0.tolist())):
         w[i], nodes[i], exact[i] = _se_enumerate(v[i], cols, diag, best, c0_i, budget)
-    q[:, 3] = 2 * apply(t, w)
-    cost[:, 3] = _cost(targets, B, q[:, 3])
+    q[:, 4] = 2 * apply(t, w)
+    cost[:, 4] = _cost(targets, B, q[:, 4])
     return _least(q, cost) + (exact, nodes)
 
 
@@ -341,6 +331,13 @@ def _first(rows) -> IlsSolution:
     """The first row of (q, cost, exact, nodes) arrays as an IlsSolution."""
     q, cost, exact, nodes = (a[0] for a in rows)
     return IlsSolution(q, float(cost), bool(exact), int(nodes))
+
+
+def _triangle(r):
+    """The triangle r as the lists _se_enumerate reads, its columns above
+    the diagonal and its diagonal; built once per block of searches, since
+    a view of a read-only r costs more to make."""
+    return [r[:k, k].tolist() for k in range(r.shape[1])], np.diag(r).tolist()
 
 
 def _se_enumerate(v, cols, diag, best_cost, c0, budget, hi=None):
@@ -414,10 +411,17 @@ def solve_brute(problem: IlsProblem, bound: int = 8) -> IlsSolution:
     """Exhaustive oracle over even q with |q_i| <= bound.
 
     Refuses with a size estimate when the box holds more than
-    BRUTE_MAX_POINTS points.  Exact within the box by construction.
+    BRUTE_MAX_POINTS points.  Exact within the box by construction; of
+    equal-cost points the first in box order wins.
     """
-    b, B = problem.b, problem.B
-    K = B.shape[0]
+    return _first(_brute_rows(problem.b[None], problem.B, bound))
+
+
+def _brute_rows(targets, B, bound):
+    """solve_brute on every row of targets against one B; returns (q, cost,
+    exact, nodes) arrays as _solve_sd_rows does.  The box and the image
+    qs @ B of each of its q[0] blocks are built once for all rows."""
+    rows, K = len(targets), B.shape[0]
     top = bound - (bound % 2)
     values = np.arange(-top, top + 1, 2, dtype=np.int64)
     n_points = len(values) ** K
@@ -426,27 +430,25 @@ def solve_brute(problem: IlsProblem, bound: int = 8) -> IlsSolution:
             f"box search would visit {n_points:.3e} points"
             f" (limit {BRUTE_MAX_POINTS:.0e}); shrink bound or K"
         )
+    # coordinates 1.. of a q[0] block, in box order (first coordinate slowest)
     tail = len(values) ** (K - 1)
-    grids = np.meshgrid(*([values] * (K - 1)), indexing="ij") if K > 1 else []
-    tail_pts = (
-        np.stack([g.reshape(-1) for g in grids], axis=1)
-        if K > 1
-        else np.zeros((1, 0), dtype=np.int64)
-    )
-    best_cost = np.inf
-    best_q = None
+    tail_pts = values[np.indices((len(values),) * (K - 1)).reshape(K - 1, tail).T]
+    best_cost = np.full(rows, np.inf)
+    best_q = np.zeros((rows, K), dtype=np.int64)
     for v0 in values:
         qs = np.empty((tail, K), dtype=np.int64)
         qs[:, 0] = v0
-        if K > 1:
-            qs[:, 1:] = tail_pts
-        resid = b[None, :] - qs @ B
-        costs = np.einsum("ij,ij->i", resid, resid)
-        i = int(np.argmin(costs))
-        if costs[i] < best_cost:
-            best_cost = float(costs[i])
-            best_q = qs[i].copy()
-    return IlsSolution(q=best_q, cost=best_cost, exact=True, nodes_visited=n_points)
+        qs[:, 1:] = tail_pts
+        image = qs @ B
+        for r, b in enumerate(targets):
+            resid = b[None, :] - image
+            costs = np.einsum("ij,ij->i", resid, resid)
+            i = int(np.argmin(costs))
+            if costs[i] < best_cost[r]:
+                best_cost[r] = costs[i]
+                best_q[r] = qs[i]
+    exact = np.ones(rows, dtype=bool)
+    return best_q, best_cost, exact, np.full(rows, n_points, dtype=np.int64)
 
 
 def _check_cache(B, cache: ReducedBasis) -> None:
@@ -477,12 +479,19 @@ def _lll_rows(targets, B, cache: ReducedBasis):
     """solve_lll on every row of targets, on a cache already checked against
     B; returns (q, cost, exact, nodes) arrays as _solve_sd_rows does."""
     rows, K = len(targets), B.shape[0]
-    # candidates: reduced rounding, unreduced rounding, zero
+    # candidates: the two snapped estimates, then zero
     q = np.zeros((rows, 3, K), dtype=np.int64)
-    z = quantize_int(apply(cache.bbar_pinv, targets))
-    q[:, 0] = quantize_even_int(apply(cache.t, z).astype(float))
-    z = quantize_int(apply(cache.source_pinv, targets))
-    q[:, 1] = quantize_even_int(z.astype(float))
+    q[:, :2] = _snaps(targets, cache)
     cost = np.stack([_cost(targets, B, q[:, j]) for j in range(3)], axis=1)
     zeros = np.zeros(rows, dtype=np.int64)
     return _least(q, cost) + (zeros.astype(bool), zeros)
+
+
+def _snaps(targets, cache: ReducedBasis):
+    """rows x 2 x K: the reduction-based estimate of every row (round in
+    reduced unit-lattice coordinates, map back through T, snap to even
+    integers), then the same estimate without reduction."""
+    z = quantize_int(apply(cache.bbar_pinv, targets))
+    reduced = quantize_even_int(apply(cache.t, z).astype(float))
+    z = quantize_int(apply(cache.source_pinv, targets))
+    return np.stack([reduced, quantize_even_int(z.astype(float))], axis=1)

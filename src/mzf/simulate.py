@@ -325,14 +325,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit(records: list[SimRecord], fmt: str, path: str) -> None:
-    """Write records as CSV (fixed column set, LF endings) or JSON."""
+def emit(records: list, fmt: str, path: str) -> None:
+    """Write SimRecords or GainSamples as CSV (header the record's fields,
+    LF endings) or JSON."""
     if not records:
         raise ValueError("nothing to emit")
     if fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
+            writer.writerow(records[0]._fields)
             for rec in records:
                 writer.writerow([_fmt(v) for v in rec])
     elif fmt == "json":
@@ -343,19 +344,18 @@ def emit(records: list[SimRecord], fmt: str, path: str) -> None:
         raise ValueError(f"unknown output format {fmt!r}")
 
 
-@dataclass(frozen=True)
-class GainSample:
+class GainSample(NamedTuple):
     trial: int
     layer: int
     gain_db: float
 
 
 def _gain_spec(cfg: SimConfig) -> DetectorSpec:
-    """The modulus detector a gain experiment samples: the first listed."""
-    spec = parse_detector_spec(cfg.detectors[0])
-    if spec.kind not in MZF_KIND_VARIANTS:
-        raise ValueError("gain experiments need a modulus detector first in the list")
-    return spec
+    """The modulus detector a gain experiment samples: the first one listed."""
+    for spec in map(parse_detector_spec, cfg.detectors):
+        if spec.kind in MZF_KIND_VARIANTS:
+            return spec
+    raise ValueError("gain experiments need a modulus detector in the list")
 
 
 def _gain_trials(cfg: SimConfig, trial_indices) -> list[GainSample]:
@@ -376,12 +376,3 @@ def run_gain_experiment(cfg: SimConfig) -> list[GainSample]:
     samples.sort(key=lambda s: (s.trial, s.layer))
     return samples
 
-
-def emit_gain_samples(samples: list[GainSample], path: str) -> None:
-    if not samples:
-        raise ValueError("nothing to emit")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("trial", "layer", "gain_db"))
-        for s in samples:
-            writer.writerow((s.trial, s.layer, repr(s.gain_db)))

@@ -143,6 +143,17 @@ class TestMain:
         assert (tmp_path / "gains_m4.csv").exists()
         assert (tmp_path / "gains_m16.csv").exists()
 
+    def test_snrgain_samples_the_config_files_detectors(self, tmp_path, capsys):
+        cfg = tmp_path / "gain.cfg"
+        cfg.write_text("detectors=mzf-ext2:sd\nkc=2\nmod=16\ntrials=3\n")
+        from_file, from_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+        assert main(["snrgain", "--config", str(cfg), "--out", str(from_file)]) == 0
+        argv = ["snrgain", "--detector", "mzf-ext2:sd", "--kc", "2", "--mod", "16",
+                "--trials", "3", "--out", str(from_flag)]
+        assert main(argv) == 0
+        assert from_file.read_bytes() == from_flag.read_bytes()
+        assert len(from_file.read_bytes().splitlines()) == 1 + 24  # two stages per layer
+
     def _usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as stop:
             main(argv)

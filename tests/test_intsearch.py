@@ -19,6 +19,7 @@ from mzf.channel import (
 )
 from mzf.intsearch import (
     IlsProblem,
+    _brute_rows,
     _lll_rows,
     _reduce,
     _solve_sd_rows,
@@ -244,6 +245,14 @@ class TestRowSearch:
         assert_rows_match(rows, [solve_lll(IlsProblem(b, basis), cache) for b in targets])
 
 
+    @pytest.mark.parametrize("k", [1, 4, 6])
+    @pytest.mark.parametrize("bound", [2, 8])
+    def test_brute_rows_equal_one_row_searches(self, k, bound):
+        targets, basis, _ = stacked_layers(k)
+        rows = _brute_rows(targets, basis, bound)
+        assert_rows_match(rows, [solve_brute(IlsProblem(b, basis), bound) for b in targets])
+
+
 class TestSolveBrute:
     def test_zero_target(self):
         p = IlsProblem(np.zeros(3), np.eye(3))
@@ -261,8 +270,11 @@ class TestSolveBrute:
 
     def test_box_guard(self):
         p = IlsProblem(np.zeros(12), np.eye(12))
-        with pytest.raises(ValueError, match="points"):
+        message = r"box search would visit 2\.256e\+19 points \(limit 1e\+08\); shrink bound or K"
+        with pytest.raises(ValueError, match=message):
             solve_brute(p, bound=40)
+        with pytest.raises(ValueError, match=message):
+            _brute_rows(np.zeros((3, 12)), p.B, 40)
 
     def test_single_dimension(self):
         p = IlsProblem(np.array([3.1]), np.array([[1.0]]))

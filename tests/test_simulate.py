@@ -18,7 +18,6 @@ from mzf.simulate import (
     SimConfig,
     SimRecord,
     emit,
-    emit_gain_samples,
     parse_detector_spec,
     run_experiment,
     run_gain_experiment,
@@ -295,9 +294,16 @@ class TestGainExperiment:
         assert keys == sorted(keys)
 
     def test_requires_modulus_detector(self):
-        cfg = dataclasses.replace(BASE, detectors=("zf",), trials=2)
-        with pytest.raises(ValueError):
+        cfg = dataclasses.replace(BASE, detectors=("zf", "ml"), trials=2)
+        with pytest.raises(ValueError, match="need a modulus detector in the list"):
             run_gain_experiment(cfg)
+
+    def test_samples_the_first_modulus_detector_listed(self):
+        cfg = dataclasses.replace(BASE, modulation=16, trials=3)
+        listed = ("zf", "mzf-ext2:sd", "mzf:sd")
+        want = run_gain_experiment(dataclasses.replace(cfg, detectors=listed[1:2]))
+        assert run_gain_experiment(dataclasses.replace(cfg, detectors=listed)) == want
+        assert len(want) == 3 * 2 * BASE.kc * 2  # two bit stages per layer
 
     def test_worker_count_does_not_change_gain_samples(self, tmp_path):
         # the bit-wise variant has two stages per layer at 16-QAM, so a trial
@@ -308,8 +314,9 @@ class TestGainExperiment:
         files = []
         for workers in (1, 2, 3):
             path = tmp_path / f"w{workers}.csv"
-            emit_gain_samples(
-                run_gain_experiment(dataclasses.replace(cfg, workers=workers)), str(path)
+            emit(
+                run_gain_experiment(dataclasses.replace(cfg, workers=workers)),
+                "csv", str(path),
             )
             files.append(path.read_bytes())
         assert files[0] == files[1] == files[2]
@@ -318,7 +325,7 @@ class TestGainExperiment:
     def test_emit_gain_csv(self, tmp_path):
         cfg = dataclasses.replace(BASE, detectors=("mzf:sd",), trials=3)
         path = tmp_path / "gains.csv"
-        emit_gain_samples(run_gain_experiment(cfg), str(path))
+        emit(run_gain_experiment(cfg), "csv", str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "trial,layer,gain_db"
         assert len(lines) == 1 + 3 * 2 * BASE.kc
@@ -413,6 +420,6 @@ class TestGainsPinned:
     def test_csv_bytes(self, tmp_path, name):
         cfg = SimConfig(trials=20, seed=9, **GAIN_CONFIGS[name])
         path = tmp_path / "gains.csv"
-        emit_gain_samples(run_gain_experiment(cfg), str(path))
+        emit(run_gain_experiment(cfg), "csv", str(path))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == GAIN_DIGESTS[name]
