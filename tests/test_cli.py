@@ -143,7 +143,7 @@ class TestMain:
         assert (tmp_path / "gains_m4.csv").exists()
         assert (tmp_path / "gains_m16.csv").exists()
 
-    def test_snrgain_samples_the_config_files_detectors(self, tmp_path, capsys):
+    def test_snrgain_samples_the_config_files_detectors(self, tmp_path):
         cfg = tmp_path / "gain.cfg"
         cfg.write_text("detectors=mzf-ext2:sd\nkc=2\nmod=16\ntrials=3\n")
         from_file, from_flag = tmp_path / "file.csv", tmp_path / "flag.csv"

@@ -244,7 +244,6 @@ class TestRowSearch:
         rows = _lll_rows(targets, basis, cache)
         assert_rows_match(rows, [solve_lll(IlsProblem(b, basis), cache) for b in targets])
 
-
     @pytest.mark.parametrize("k", [1, 4, 6])
     @pytest.mark.parametrize("bound", [2, 8])
     def test_brute_rows_equal_one_row_searches(self, k, bound):
