@@ -150,7 +150,8 @@ def main(argv=None) -> int:
     gain.add_argument("--mods", help="comma list of QAM orders, e.g. 4,16,64")
     gain.add_argument(
         "--detector", dest="detectors", metavar="DETECTOR",
-        help="modulus detector id, default mzf:sd",
+        help="modulus detector id; default: the first modulus detector in the"
+        " config file's detectors entry, or mzf:sd without one",
     )
     gain.add_argument("--out", required=True, help="output file; {m} expands per order")
 

@@ -136,6 +136,7 @@ class MimoDetector:
     _fit(h, n0) and _block(y), and may override _validate_params()."""
 
     def fit(self, channel, n0: float = 0.0):
+        check_count(self.modulation, "modulation", 4)  # make_alphabet takes 16.0
         self._validate_params()
         h = _coerce_real_channel(channel)
         noise = NoiseSpec(float(n0))  # raises on a negative or non-finite n0

@@ -15,12 +15,12 @@ same order, and round() rounds half to even like np.round, so the outputs
 are the bytes of the array formulation (tests/test_intsearch.py pins them).
 
 A fit searches K targets (one per layer and stage) on one basis, so the row
-search _solve_sd_rows takes a block of targets: the warm starts, the
-reduction-based estimates and every candidate cost are computed for all rows
-at once, each row by the BLAS call one target alone makes (see rowwise), and
-only the enumeration runs row by row.  Each solver answers a block of rows
-(_solve_sd_rows, _lll_rows, and _brute_rows, which builds its box once for
-all rows); solve_sd, solve_lll and solve_brute are their one-row calls.
+search _solve_sd_rows takes a block of targets: the warm starts and every
+candidate cost are computed for all rows at once, each row by the BLAS call
+one target alone makes (see rowwise), and only the enumeration runs row by
+row.  Each solver answers a block of rows (_solve_sd_rows, _lll_rows, and
+_brute_rows, which builds its box once for all rows); solve_sd, solve_lll
+and solve_brute are their one-row calls.
 
 Fits of one channel at several QAM orders and variants reduce the same
 basis and partly search the same rows, so two memos reuse results that are
@@ -287,29 +287,25 @@ def _search_rows(targets, B, budget, cache):
     c0 = np.maximum(bb - dots(v, v), 0.0)  # out-of-span residual
 
     # every candidate's cost is evaluated once, in the order zero, the
-    # rounding warm start in reduced coordinates, the two snapped estimates
-    # of _snaps and the enumeration's point; without a cache the estimates
-    # are absent and cost inf, and where the enumeration finds nothing its
+    # rounding warm start in reduced coordinates and the enumeration's point,
+    # which starts at the warm start and is optimal when exact, so no snapped
+    # estimate of _lll_rows is scored; where the enumeration finds nothing its
     # point stays zero, which ties the first candidate and never wins
-    q = np.zeros((rows, 5, K), dtype=np.int64)
-    cost = np.full((rows, 5), np.inf)
+    q = np.zeros((rows, 3, K), dtype=np.int64)
+    cost = np.empty((rows, 3))
     cost[:, 0] = bb
     w0 = np.round(np.linalg.solve(r_mat, v[..., None])[..., 0]).astype(np.int64)
     q[:, 1] = 2 * apply(t, w0)
     cost[:, 1] = _cost(targets, B, q[:, 1])
-    if cache is not None:
-        q[:, 2:4] = _snaps(targets, cache)
-        cost[:, 2] = _cost(targets, B, q[:, 2])
-        cost[:, 3] = _cost(targets, B, q[:, 3])
 
     w = np.zeros((rows, K), dtype=np.int64)
     exact = np.zeros(rows, dtype=bool)
     nodes = np.zeros(rows, dtype=np.int64)
     cols, diag = _triangle(r_mat)
-    for i, (best, c0_i) in enumerate(zip(cost.min(axis=1).tolist(), c0.tolist())):
+    for i, (best, c0_i) in enumerate(zip(cost[:, :2].min(axis=1).tolist(), c0.tolist())):
         w[i], nodes[i], exact[i] = _se_enumerate(v[i], cols, diag, best, c0_i, budget)
-    q[:, 4] = 2 * apply(t, w)
-    cost[:, 4] = _cost(targets, B, q[:, 4])
+    q[:, 2] = 2 * apply(t, w)
+    cost[:, 2] = _cost(targets, B, q[:, 2])
     return _least(q, cost) + (exact, nodes)
 
 

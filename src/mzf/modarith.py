@@ -49,12 +49,12 @@ def mod_recover(y, alpha=1, parity_odd: bool = True):
 
 
 def mod_recover_each(y, alpha, parity_odd):
-    """mod_recover over arrays with a branch per element: alpha and
-    parity_odd broadcast against y.  Each element is folded exactly as a
-    scalar mod_recover call on its own branch would fold it."""
-    return np.where(
-        parity_odd, mod_recover(y, alpha, True), mod_recover(y, alpha, False)
-    )
+    """mod_recover over arrays, alpha and parity_odd broadcast against y:
+    one fold shifted by 2a on the even branch and +0.0 on the odd, which
+    gives each element the bytes of the scalar call on its branch (adding
+    +0.0 alters only -0.0, which folds as +0.0 does)."""
+    half = 2 * alpha
+    return ((y + np.where(parity_odd, 0.0, half)) % (4 * alpha)) - half
 
 
 def branch_parity(ctx: ParityContext) -> bool:

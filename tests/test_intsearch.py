@@ -252,6 +252,27 @@ class TestRowSearch:
         assert_rows_match(rows, [solve_brute(IlsProblem(b, basis), bound) for b in targets])
 
 
+class TestDroppedCandidates:
+    def test_exact_search_never_loses_to_the_snapped_estimates(self):
+        # the sphere search scores zero, its rounding warm start and its
+        # enumeration's point only; _lll_rows scores zero and both snapped
+        # estimates, so an exact row at or below its cost shows that neither
+        # snap could have won.  Real K x K ZF problems at tau = 1, 0.5 and
+        # 0.25 (4-, 16- and 64-QAM), K = 6..12, 10 channels each
+        rng = np.random.default_rng(31)
+        exact_rows = 0
+        for k in range(6, 13):
+            for _ in range(10):
+                hplus = pseudo_inverse(generate_real_channel(rng, k))
+                cache = lll_reduce(-hplus.T)
+                targets = np.concatenate([tau * hplus for tau in (1.0, 0.5, 0.25)])
+                _, cost, exact, _ = _solve_sd_rows(targets, -hplus, 10**6, cache)
+                _, snap_cost, _, _ = _lll_rows(targets, -hplus, cache)
+                assert np.all(cost[exact] <= snap_cost[exact])
+                exact_rows += int(exact.sum())
+        assert exact_rows == 3 * 10 * sum(range(6, 13))
+
+
 class TestSolveBrute:
     def test_zero_target(self):
         p = IlsProblem(np.zeros(3), np.eye(3))

@@ -91,6 +91,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=err_match):
             cfg.validate()
 
+    def test_rejects_float_modulation_order(self):
+        # make_alphabet alone would build 16-QAM from 16.0
+        cfg = dataclasses.replace(BASE, modulation=16.0)
+        with pytest.raises(ValueError, match="modulation must be an integer, got 16.0"):
+            cfg.validate()
+
 
 class TestRunExperiment:
     def test_repeat_runs_identical(self, tmp_path):
