@@ -9,6 +9,7 @@ which gives tau = 2**(1 - log2(sqrt(M))).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,36 +28,60 @@ class PamAlphabet:
     tie_order: np.ndarray  # points as floats sorted by (|p|, p), the quantizer's tie rule
 
 
+def check_count(value, name: str, low: int) -> None:
+    """Raise ValueError unless value is an integer >= low; a bool or a float
+    is refused even where it equals an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+# order -> its alphabet; every fit and config check asks for the same few
+_ALPHABETS: dict[int, PamAlphabet] = {}
+
+
 def make_alphabet(m: int) -> PamAlphabet:
-    """Build the sqrt(M)-PAM alphabet for M-QAM, M a power of 4."""
-    if m < 4:
-        raise ValueError(f"modulation order must be >= 4, got {m}")
+    """The sqrt(M)-PAM alphabet for M-QAM, M an integer power of 4.
+
+    One object per order is built and shared, so its arrays are read-only.
+    """
+    check_count(m, "modulation", 4)
+    m = int(m)
+    if m in _ALPHABETS:
+        return _ALPHABETS[m]
     nbits = round(np.log2(m) / 2)
     if 4**nbits != m:
         raise ValueError(f"modulation order must be a power of 4, got {m}")
     sqrt_m = 2**nbits
     points = np.arange(-(sqrt_m - 1), sqrt_m, 2, dtype=np.int64)
-    return PamAlphabet(
+    tie_order = np.array(sorted(points.tolist(), key=lambda p: (abs(p), p)), dtype=float)
+    points.flags.writeable = tie_order.flags.writeable = False
+    _ALPHABETS[m] = alphabet = PamAlphabet(
         m=m,
         sqrt_m=sqrt_m,
         points=points,
         nbits=nbits,
         tau=2.0 ** (1 - nbits),
         energy=(m - 1) / 3.0,
-        tie_order=np.array(sorted(points.tolist(), key=lambda p: (abs(p), p)), dtype=float),
+        tie_order=tie_order,
     )
+    return alphabet
 
 
 def quantize_pam(v, alphabet: PamAlphabet, scale: float = 1.0):
     """Quantize to the nearest point of scale*points.
 
     Ties go to the point of smaller absolute value, and between +-p to -p,
-    so quantization is deterministic and platform independent.
+    so quantization is deterministic and platform independent.  v is
+    clipped to the outer points first: beyond them the distance table would
+    lose its resolution and send a huge v to the tie rule's first point.
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
     pts = scale * alphabet.tie_order
-    v_arr = np.asarray(v, dtype=float)
+    edge = scale * (alphabet.sqrt_m - 1)
+    v_arr = np.clip(np.asarray(v, dtype=float), -edge, edge)
     d = np.abs(v_arr[..., None] - pts)
     idx = np.argmin(d, axis=-1)  # first hit wins, order encodes the tie rule
     out = pts[idx]
@@ -97,10 +122,12 @@ def symbol_to_bits(x, nbits: int) -> np.ndarray:
     Bit j is 2 b_j - 1 with b_j = ((x + 2**nbits - 1) / 2 >> j) & 1.
     """
     x = np.asarray(x)
-    half = (x.astype(np.int64) + 2**nbits - 1) // 2
+    mask = 2**nbits - 1
+    half = (x.astype(np.int64) + mask) // 2
     u = 2 * (half[..., None] >> np.arange(nbits) & 1) - 1
-    # an even, fractional or out-of-range x does not map back from its bits
-    back = u @ 2 ** np.arange(nbits, dtype=np.int64)
+    # an even, fractional or out-of-range x does not map back from its bits,
+    # whose symbol is 2 * (half & mask) - mask
+    back = 2 * (half & mask) - mask
     if not np.array_equal(back, x):
         bad = x[back != x].flat[0]
         raise ValueError(f"symbol {bad} is not an odd point of the {nbits}-bit alphabet")

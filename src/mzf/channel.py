@@ -55,7 +55,13 @@ def embed_complex(mat) -> np.ndarray:
         return np.concatenate([re, im])
     if m.ndim != 2:
         raise ValueError(f"expected a matrix or vector, got ndim={m.ndim}")
-    return np.block([[re, -im], [im, re]])
+    n, k = m.shape
+    out = np.empty((2 * n, 2 * k))
+    out[:n, :k] = re
+    np.negative(im, out=out[:n, k:])
+    out[n:, :k] = im
+    out[n:, k:] = re
+    return out
 
 
 def generate_channel(rng: np.random.Generator, kc: int) -> ComplexChannel:

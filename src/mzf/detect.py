@@ -136,14 +136,14 @@ class MimoDetector:
     _fit(h, n0) and _block(y), and may override _validate_params()."""
 
     def fit(self, channel, n0: float = 0.0):
-        check_count(self.modulation, "modulation", 4)  # make_alphabet takes 16.0
+        alphabet = make_alphabet(self.modulation)  # refuses a bad order first
         self._validate_params()
         h = _coerce_real_channel(channel)
         noise = NoiseSpec(float(n0))  # raises on a negative or non-finite n0
         self.h_ = h
         self.k_ = h.shape[1]
         self.n0_ = noise.n0
-        self.alphabet_ = make_alphabet(self.modulation)
+        self.alphabet_ = alphabet
         self._fit(h, noise.n0)
         return self
 

@@ -13,6 +13,9 @@ overhead, several times the arithmetic it feeds.  Each step is the
 elementwise IEEE operation the equivalent array expression performs, in the
 same order, and round() rounds half to even like np.round, so the outputs
 are the bytes of the array formulation (tests/test_intsearch.py pins them).
+The first Gram-Schmidt pass of lll_reduce takes each orthogonal column's
+squared norm once rather than once per coefficient, by the same dot
+product, so it too keeps its bytes.
 
 A fit searches K targets (one per layer and stage) on one basis, so the row
 search _solve_sd_rows takes a block of targets: the warm starts and every
@@ -29,19 +32,19 @@ reduction, keyed by a copy of its input's bytes; the row search keeps every
 row it searched on a reduction in that reduction's searched dict, so the
 memo is freed with the reduction.  A row answered from the memo carries the
 nodes and exact flag of the search that first found it, so node counts
-read as if every search had run.  Everything a ReducedBasis holds is
+read as if every search had run; a block none of whose rows is in the memo
+returns the search's own arrays.  Everything a ReducedBasis holds is
 read-only, since fitted detectors share it.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .alphabet import quantize_even_int, quantize_int
+from .alphabet import check_count, quantize_even_int, quantize_int
 from .rowwise import apply, dots, times
 
 BRUTE_MAX_POINTS = 10**8
@@ -117,17 +120,23 @@ def _gram_schmidt(basis: np.ndarray):
     """Orthogonalization of the columns; returns (squared norms, mu).
 
     mu carries an implicit unit diagonal so that size-reduction updates can
-    subtract whole rows.
+    subtract whole rows.  Each orthogonal column's squared norm is taken
+    once, as the dot product of its column view with itself, and serves
+    every coefficient against that column: the same BLAS call on the same
+    strided data as a per-pair recompute, so the same bytes.
     """
     n = basis.shape[1]
     ortho = np.zeros_like(basis)
     mu = np.eye(n)
-    for i in range(n):
-        v = basis[:, i].copy()
-        for j in range(i):
-            mu[i, j] = (basis[:, i] @ ortho[:, j]) / (ortho[:, j] @ ortho[:, j])
-            v -= mu[i, j] * ortho[:, j]
-        ortho[:, i] = v
+    o_cols = list(ortho.T)  # views of the columns, as ortho[:, j] is
+    sq = []  # sq[j] = o_cols[j] @ o_cols[j], once column j is final
+    for i, (b_i, o_i) in enumerate(zip(basis.T, o_cols)):
+        v = b_i.copy()
+        for j, (o_j, sq_j) in enumerate(zip(o_cols, sq)):
+            mu[i, j] = c = (b_i @ o_j) / sq_j
+            v -= c * o_j
+        o_i[...] = v
+        sq.append(o_i @ o_i)
     return np.sum(ortho**2, axis=0), mu
 
 
@@ -137,19 +146,12 @@ def check_lll_delta(delta, name: str = "delta") -> None:
         raise ValueError(f"{name} must lie in (0.25, 1], got {delta}")
 
 
-def check_count(value, name: str, low: int) -> None:
-    """Raise ValueError unless value is an integer >= low; a bool or a float
-    is refused even where it equals an integer."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-
-
 def lll_reduce(m, delta: float = 0.75) -> ReducedBasis:
     """Lovasz-reduce the columns of m, tracking the unimodular transform.
 
-    Raises on a non-finite entry and on linearly dependent columns.
+    Raises on a non-finite entry, on Gram-Schmidt data that is not finite
+    (squares of the entries overflow or underflow) and on linearly
+    dependent columns.
     Standard swap-based formulation; the Gram-Schmidt data is computed once
     and then updated in O(n) per swap (Cohen, A Course in Computational
     Algebraic Number Theory, Alg. 2.6.3).  The loop runs on lists (see the
@@ -164,7 +166,13 @@ def lll_reduce(m, delta: float = 0.75) -> ReducedBasis:
         raise ValueError("basis must be finite")
     n = basis.shape[1]
     t = np.eye(n, dtype=np.int64)
-    norms, mu = _gram_schmidt(basis)
+    with np.errstate(all="ignore"):
+        norms, mu = _gram_schmidt(basis)
+    if not (np.isfinite(norms).all() and np.isfinite(mu).all()):
+        raise ValueError(
+            "Gram-Schmidt norms or coefficients of the basis are not finite:"
+            " its entries are too large or too small to square in floating point"
+        )
     if np.min(norms) <= 1e-24 * np.max(norms):
         raise ValueError("basis columns are linearly dependent")
     norms, mu = norms.tolist(), mu.tolist()
@@ -257,7 +265,8 @@ def _solve_sd_rows(targets, B, budget, cache):
     (see the module docstring); returns (q, cost, exact, nodes) arrays.
 
     With a cache, rows searched on it before at this budget come from its
-    searched memo and only the others are searched."""
+    searched memo and only the others are searched; when none was searched
+    before, the search's own arrays are returned."""
     check_count(budget, "budget", 1)
     targets = np.asarray(targets, dtype=float)
     if cache is None:
@@ -270,6 +279,8 @@ def _solve_sd_rows(targets, B, budget, cache):
         q, cost, exact, nodes = _search_rows(targets[miss], B, budget, cache)
         scalars = (a.tolist() for a in (cost, exact, nodes))
         memo.update(zip((keys[i] for i in miss), zip(_read_only(q.copy()), *scalars)))
+        if len(miss) == len(keys):
+            return q, cost, exact, nodes
     return tuple(map(np.array, zip(*(memo[key] for key in keys))))
 
 
@@ -298,12 +309,16 @@ def _search_rows(targets, B, budget, cache):
     q[:, 1] = 2 * apply(t, w0)
     cost[:, 1] = _cost(targets, B, q[:, 1])
 
-    w = np.zeros((rows, K), dtype=np.int64)
-    exact = np.zeros(rows, dtype=bool)
-    nodes = np.zeros(rows, dtype=np.int64)
     cols, diag = _triangle(r_mat)
-    for i, (best, c0_i) in enumerate(zip(cost[:, :2].min(axis=1).tolist(), c0.tolist())):
-        w[i], nodes[i], exact[i] = _se_enumerate(v[i], cols, diag, best, c0_i, budget)
+    best = cost[:, :2].min(axis=1).tolist()
+    found = [
+        _se_enumerate(v_i, cols, diag, best_i, c0_i, budget)
+        for v_i, best_i, c0_i in zip(v, best, c0.tolist())
+    ]
+    w, nodes, exact = zip(*found)
+    w = np.array(w, dtype=np.int64)
+    nodes = np.array(nodes, dtype=np.int64)
+    exact = np.array(exact, dtype=bool)
     q[:, 2] = 2 * apply(t, w)
     cost[:, 2] = _cost(targets, B, q[:, 2])
     return _least(q, cost) + (exact, nodes)

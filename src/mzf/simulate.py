@@ -121,8 +121,7 @@ class SimConfig:
             raise ValueError("detectors must not be empty")
         check_count(self.workers, "workers", 1)
         check_count(self.seed, "seed", 0)
-        check_count(self.modulation, "modulation", 4)
-        make_alphabet(self.modulation)  # raises on an order not a power of 4
+        make_alphabet(self.modulation)  # raises on an order not an integer power of 4
         _check_choice("parity_mode", self.parity_mode, PARITY_MODES)
         _check_choice("lar_mode", self.lar_mode, LAR_MODES)
         _check_choice("noise_weighting", self.noise_weighting, NOISE_WEIGHTINGS)

@@ -41,6 +41,23 @@ class TestMakeAlphabet:
         with pytest.raises(ValueError):
             make_alphabet(bad)
 
+    @pytest.mark.parametrize("bad", [16.0, 4.0, True, "16"])
+    def test_rejects_non_integer_order(self, bad):
+        # the alphabets are kept per order, so 16.0 must not reach the key
+        with pytest.raises(ValueError, match="modulation must be an integer, got"):
+            make_alphabet(bad)
+
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    def test_one_shared_read_only_alphabet_per_order(self, m):
+        a = make_alphabet(m)
+        assert make_alphabet(m) is a
+        assert make_alphabet(np.int64(m)) is a
+        assert type(a.m) is int
+        for arr in (a.points, a.tie_order):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
     @pytest.mark.parametrize("m", [4, 16, 64, 256, 1024, 4096])
     def test_scale_rule_exact(self, m):
         # distance from 2 to the largest scaled point equals half the point
@@ -85,6 +102,27 @@ class TestQuantizePam:
         a = make_alphabet(16)
         assert quantize_pam(100.0, a) == 3.0
         assert quantize_pam(-100.0, a) == -3.0
+
+    @pytest.mark.parametrize("big", [1e16, 1e17, 1e300, np.inf])
+    def test_huge_inputs_go_to_the_outer_points(self, big):
+        # an unclipped distance table loses its resolution near 1e17 and
+        # sends the value to the tie rule's first point, -1
+        a = make_alphabet(16)
+        assert quantize_pam(big, a) == 3.0
+        assert quantize_pam(-big, a) == -3.0
+        assert quantize_pam(np.array([big, -big]), a, scale=0.5).tolist() == [1.5, -1.5]
+
+    @pytest.mark.parametrize("m,scale", [(4, 1.0), (16, 0.5), (64, 0.25), (256, 3.0)])
+    def test_in_range_bytes_unchanged_by_the_clip(self, m, scale):
+        # within the outer points the clip passes v through, so the result
+        # is that of the plain distance table, midpoints included
+        a = make_alphabet(m)
+        edge = scale * (a.sqrt_m - 1)
+        rng = np.random.default_rng(m)
+        v = np.concatenate([rng.uniform(-edge, edge, 2000), scale * np.arange(-a.sqrt_m + 1, a.sqrt_m)])
+        pts = scale * a.tie_order
+        want = pts[np.argmin(np.abs(v[:, None] - pts), axis=-1)]
+        assert quantize_pam(v, a, scale=scale).tobytes() == want.tobytes()
 
     def test_vectorized(self):
         a = make_alphabet(4)
@@ -148,6 +186,13 @@ class TestBitMapping:
             symbol_to_bits(5, 2)
         with pytest.raises(ValueError):
             bits_to_symbol([1, 0])
+
+    @pytest.mark.parametrize(
+        "x, bad", [(2, "2"), (2.5, "2.5"), (5, "5"), (-5.0, "-5.0"), ([1, 3, 0, 7], "0")]
+    )
+    def test_refusal_names_the_first_bad_symbol(self, x, bad):
+        with pytest.raises(ValueError, match=f"^symbol {bad} is not an odd point of the 2-bit alphabet$"):
+            symbol_to_bits(np.asarray(x), 2)
 
 
 class TestRandomSymbols:

@@ -60,6 +60,19 @@ class TestEmbed:
         assert np.array_equal(h[:3, 3:], -im)
         assert np.array_equal(h[3:, :3], im)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (6, 3), (5, 2)])
+    @pytest.mark.parametrize("wrap", [False, True])
+    def test_bytes_of_block_form(self, shape, wrap):
+        rng = np.random.default_rng(shape)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m[0, 0] = 0.0  # a signed zero in the negated block
+        re, im = m.real, m.imag
+        want = np.block([[re, -im], [im, re]])
+        got = embed_complex(ComplexChannel(m) if wrap else m)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
 
 class TestGenerateChannel:
     def test_deterministic_given_stream(self):

@@ -150,8 +150,7 @@ class TestEstimatorConventions:
 
     @pytest.mark.parametrize("det", [ZFDetector(16.0), MZFDetector(16.0), MLDetector(4.0)])
     def test_rejects_float_modulation_order(self, det):
-        # make_alphabet builds a 4-PAM alphabet from 16.0, so only the fit's
-        # count check refuses it
+        # make_alphabet refuses it before the fit stores anything
         with pytest.raises(ValueError, match="modulation must be an integer, got"):
             det.fit(H_REF)
         assert not hasattr(det, "h_")
@@ -254,6 +253,10 @@ class TestZF:
         for h, x, y, m in noiseless_cases(2, 25):
             det = ZFDetector(modulation=m).fit(h)
             assert np.array_equal(det.detect(y).symbols, x)
+
+    def test_huge_observation_goes_to_the_outer_points(self):
+        det = ZFDetector(16).fit(np.eye(2))
+        assert det.predict([1e17, -1e17]).tolist() == [3.0, -3.0]
 
 
 class TestMZFSymbolwise:
@@ -455,6 +458,26 @@ class TestML:
     def test_rejects_dependent_columns(self):
         with pytest.raises(ValueError, match="linearly dependent"):
             MLDetector(modulation=16).fit(np.array([[1.0, 0.0], [2.0, 0.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+class TestExtremeScaleChannels:
+    """Finite channels whose lattice basis squares out of floating point."""
+
+    @staticmethod
+    def channel(scale):
+        return scale * np.random.default_rng(1).standard_normal((6, 6))
+
+    @pytest.mark.parametrize(
+        "det", [MZFDetector(16, solver="sd"), MZFDetector(16, solver="lll"), LARDetector(16)]
+    )
+    def test_lattice_detectors_refuse(self, det, scale):
+        with pytest.raises(ValueError, match="Gram-Schmidt norms or coefficients"):
+            det.fit(self.channel(scale))
+
+    def test_zf_fits(self, scale):
+        det = ZFDetector(16).fit(self.channel(scale))
+        assert np.all(np.isfinite(det.hplus_))
 
 
 class TestLAR:

@@ -1,10 +1,11 @@
 """Even-integer closest-vector solver tests against the box oracle."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
-from util_exact import int_det
+from util_exact import gram_schmidt_pairwise, int_det
 
 from mzf import intsearch
 from mzf.alphabet import make_alphabet
@@ -20,6 +21,7 @@ from mzf.channel import (
 from mzf.intsearch import (
     IlsProblem,
     _brute_rows,
+    _gram_schmidt,
     _lll_rows,
     _reduce,
     _solve_sd_rows,
@@ -238,6 +240,18 @@ class TestRowSearch:
                 assert a.flags.writeable
         assert len(cache.searched) == 2 * k
 
+    def test_fresh_search_returns_arrays_apart_from_the_memo(self):
+        # a search that answers every row itself returns its own arrays;
+        # writing into them must not reach the memo
+        targets, basis, cache = stacked_layers(6)
+        first = _solve_sd_rows(targets, basis, 10**6, cache)
+        kept = [a.copy() for a in first]
+        for a in first:
+            a[...] = 0
+        again = _solve_sd_rows(targets, basis, 10**6, cache)
+        for a, b in zip(again, kept):
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+
     @pytest.mark.parametrize("k", [6, 12, 24])
     def test_lll_rows_equal_one_row_estimates(self, k):
         targets, basis, cache = stacked_layers(k)
@@ -342,6 +356,49 @@ class TestLllReduce:
     def test_rejects_non_finite_basis(self, bad):
         with pytest.raises(ValueError, match="basis must be finite"):
             lll_reduce(np.array([[1.0, bad], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_rejects_non_finite_gram_schmidt(self, scale):
+        # finite entries whose squares overflow or underflow; the refusal
+        # comes before any numpy warning
+        m = scale * np.random.default_rng(1).standard_normal((6, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Gram-Schmidt norms or coefficients"):
+                lll_reduce(m)
+
+
+# bases per size, 2,000 in all: ZF bases of real K x K channels (by K) and
+# of complex kc x kc channels in their real embedding (by kc)
+GRAM_SCHMIDT_REAL = {2: 200, 3: 200, 4: 200, 6: 200, 8: 150, 12: 100, 16: 60, 24: 30, 32: 20}
+GRAM_SCHMIDT_COMPLEX = {kc: 120 for kc in range(2, 9)}
+
+
+class TestGramSchmidt:
+    """_gram_schmidt takes each squared norm once; its bytes must be those
+    of the per-pair oracle, on the bases in the layout lll_reduce passes."""
+
+    @staticmethod
+    def assert_same_bytes(m):
+        basis = np.array(m, dtype=float)  # as lll_reduce copies its input
+        norms, mu = _gram_schmidt(basis)
+        want_norms, want_mu = gram_schmidt_pairwise(basis)
+        assert norms.tobytes() == want_norms.tobytes()
+        assert mu.tobytes() == want_mu.tobytes()
+
+    @pytest.mark.parametrize("k", sorted(GRAM_SCHMIDT_REAL))
+    def test_real_zf_bases(self, k):
+        rng = np.random.default_rng([21, k])
+        for i in range(GRAM_SCHMIDT_REAL[k]):
+            m = zf_basis(generate_real_channel(rng, k))
+            # both layouts: the fit's (columns contiguous) and row-major
+            self.assert_same_bytes(m if i % 2 else np.ascontiguousarray(m))
+
+    @pytest.mark.parametrize("kc", sorted(GRAM_SCHMIDT_COMPLEX))
+    def test_complex_embedded_bases(self, kc):
+        rng = np.random.default_rng([22, kc])
+        for _ in range(GRAM_SCHMIDT_COMPLEX[kc]):
+            self.assert_same_bytes(zf_basis(embed_complex(generate_channel(rng, kc))))
 
 
 @pytest.mark.usefixtures("fresh_reduction_memo")

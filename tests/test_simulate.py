@@ -92,7 +92,7 @@ class TestConfigValidation:
             cfg.validate()
 
     def test_rejects_float_modulation_order(self):
-        # make_alphabet alone would build 16-QAM from 16.0
+        # the per-order alphabet memo must never be keyed on 16.0
         cfg = dataclasses.replace(BASE, modulation=16.0)
         with pytest.raises(ValueError, match="modulation must be an integer, got 16.0"):
             cfg.validate()

@@ -1,5 +1,5 @@
-"""Exact helpers shared by tests: integer determinants and the exhaustive
-ML oracle."""
+"""Exact helpers shared by tests: integer determinants, the exhaustive
+ML oracle and the per-pair Gram-Schmidt oracle."""
 
 import numpy as np
 
@@ -39,3 +39,19 @@ def ml_grid(h, y, alphabet):
         resid = images - row
         out[i] = grid[np.argmin(np.einsum("ij,ij->i", resid, resid))]
     return out
+
+
+def gram_schmidt_pairwise(basis):
+    """Gram-Schmidt of the columns as (squared norms, mu), taking the squared
+    norm of orthogonal column j anew for every pair (i, j); the reference
+    whose bytes intsearch._gram_schmidt must return."""
+    n = basis.shape[1]
+    ortho = np.zeros_like(basis)
+    mu = np.eye(n)
+    for i in range(n):
+        v = basis[:, i].copy()
+        for j in range(i):
+            mu[i, j] = (basis[:, i] @ ortho[:, j]) / (ortho[:, j] @ ortho[:, j])
+            v -= mu[i, j] * ortho[:, j]
+        ortho[:, i] = v
+    return np.sum(ortho**2, axis=0), mu
