@@ -92,7 +92,7 @@ def pseudo_inverse(h) -> np.ndarray:
     """Left pseudo-inverse of a full-column-rank real matrix.
 
     Raises if any singular value falls below RANK_RTOL times the largest,
-    naming the offending index.
+    naming the offending index, or if the inverse overflows.
     """
     h = np.asarray(h, dtype=float)
     u, s, vt = np.linalg.svd(h, full_matrices=False)
@@ -101,15 +101,48 @@ def pseudo_inverse(h) -> np.ndarray:
     if bad.size:
         i = int(bad[0])
         raise ValueError(
-            f"rank-deficient matrix: singular value {i} is {s[i]:.3e}"
-            f" (tolerance {tol:.3e})"
+            f"rank-deficient matrix, columns linearly dependent: singular value {i}"
+            f" is {s[i]:.3e} (tolerance {tol:.3e})"
         )
-    return (vt.T / s) @ u.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        hplus = (vt.T / s) @ u.T
+    if not np.all(np.isfinite(hplus)):
+        raise ValueError(
+            f"pseudo-inverse is not finite: the smallest singular value {s[-1]:.3e}"
+            " overflows its reciprocal"
+        )
+    return hplus
+
+
+# ((shape, strides, bytes), read-only pseudo-inverse) of the last
+# _pseudo_inverse call
+_last_pseudo_inverse = None
+
+
+def _pseudo_inverse(h) -> np.ndarray:
+    """pseudo_inverse(h), read-only and shared: the last result again when h
+    has its shape, layout and bytes.  Every detector fitted to one channel
+    applies the rank rule through this one SVD.  The key holds a copy of
+    the bytes, so a caller that later writes into h cannot alter the entry;
+    a refused matrix raises on every call and is never stored."""
+    global _last_pseudo_inverse
+    h = np.asarray(h, dtype=float)
+    key = (h.shape, h.strides, h.tobytes())
+    if _last_pseudo_inverse is None or _last_pseudo_inverse[0] != key:
+        hplus = pseudo_inverse(h)
+        hplus.flags.writeable = False
+        _last_pseudo_inverse = (key, hplus)
+    return _last_pseudo_inverse[1]
 
 
 def lmmse_inverse(h, noise: NoiseSpec) -> np.ndarray:
-    """Regularized equalizer Ht (H Ht + N0 I)^-1 (real case)."""
+    """Regularized equalizer Ht (H Ht + N0 I)^-1 (real case).
+
+    At n0 = 0, the ZF limit, h must pass pseudo_inverse's rank rule.
+    """
     h = np.asarray(h, dtype=float)
+    if noise.n0 == 0:
+        _pseudo_inverse(h)
     gram = h @ h.T + noise.n0 * np.eye(h.shape[0])
     try:
         inv = np.linalg.inv(gram)

@@ -27,10 +27,10 @@ from .alphabet import (
 from .channel import (
     ComplexChannel,
     NoiseSpec,
+    _pseudo_inverse,
     embed_complex,
     lmmse_inverse,
     mmse_error_matrix,
-    pseudo_inverse,
 )
 from .intsearch import (
     _brute_rows,
@@ -196,13 +196,16 @@ class MimoDetector:
 
 
 class ZFDetector(MimoDetector):
-    """Linear detection through the pseudo-inverse, quantized per layer."""
+    """Linear detection through the pseudo-inverse, quantized per layer.
+
+    hplus_ is read-only: detectors fitted to one channel share it.
+    """
 
     def __init__(self, modulation: int = 4):
         self.modulation = modulation
 
     def _fit(self, h, n0):
-        self.hplus_ = pseudo_inverse(h)
+        self.hplus_ = _pseudo_inverse(h)
 
     def _block(self, y):
         est = apply(self.hplus_, y)
@@ -232,9 +235,8 @@ class MLDetector(MimoDetector):
         self.modulation = modulation
 
     def _fit(self, h, n0):
+        _pseudo_inverse(h)  # the rank rule, refusing dependent columns
         self.qr_ = _qr_positive(2.0 * h)
-        if not np.diag(self.qr_[1]).all():
-            raise ValueError("channel columns are linearly dependent")
         self.shift_ = h @ np.full(h.shape[1], self.alphabet_.sqrt_m - 1.0)
 
     def _block(self, y):
@@ -271,6 +273,7 @@ class LARDetector(MimoDetector):
         check_lll_delta(self.delta, "delta")
 
     def _fit(self, h, n0):
+        _pseudo_inverse(h)  # the rank rule, before the reduction's own test
         # not through the last-reduction memo: H is never a modulus
         # detector's basis, so it would only evict theirs
         self.reduction_ = lll_reduce(h, self.delta)
@@ -315,7 +318,9 @@ class MZFDetector(MimoDetector):
     perturbations q_ (stages x K x K), the combining rows comb_
     (stages x K x N), and over (stage, layer) the fold scales alpha_, the
     degenerate_ mask, parity_ (True where half the sum of q is odd), the
-    search costs cost_, exact_ and the search nodes_.
+    search costs cost_, exact_ and the search nodes_.  With the zf
+    equalizer, hplus_ is the read-only pseudo-inverse every detector fitted
+    to the channel shares.
     """
 
     def __init__(
@@ -354,7 +359,7 @@ class MZFDetector(MimoDetector):
         k = h.shape[1]
         alphabet = self.alphabet_
         if self.equalizer == "zf":
-            self.hplus_ = pseudo_inverse(h)
+            self.hplus_ = _pseudo_inverse(h)
             effective = self.hplus_
         else:
             self.hplus_ = lmmse_inverse(h, NoiseSpec(n0))

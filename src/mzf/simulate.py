@@ -38,6 +38,7 @@ from .detect import (
 )
 from .intsearch import check_count
 from .metrics import detector_gains, snr_to_n0
+from .rowwise import apply
 
 MZF_KIND_VARIANTS = {
     "mzf": "plain",
@@ -192,14 +193,18 @@ def _run_trials(cfg: SimConfig, trial_indices) -> tuple:
     searches, and per (detector, snr) cell, detector-major, the list of each
     trial's exactly rounded gain sum (none for a detector without gains).
 
-    A trial draws the symbols and noise of every SNR point first, then each
-    detector fitted once per trial detects all of them in one predict call;
-    a detector whose fit needs n0 is fitted and called once per point.
+    A trial draws the symbols and noise of every SNR point first and forms
+    all observations at once, then each detector fitted once per trial
+    detects all of them in one predict_bits call; a detector whose fit needs
+    n0 is fitted and called once per point.  The bit map is one to one, so
+    a symbol is in error exactly when one of its bits is, and only the
+    transmitted symbols are mapped to bits here.
     """
     specs = [parse_detector_spec(s) for s in cfg.detectors]
     alphabet = make_alphabet(cfg.modulation)
     nbits = alphabet.nbits
     n0s = [snr_to_n0(s, alphabet).n0 for s in cfg.snr_db]
+    sigmas = np.sqrt(np.array(n0s) / 2.0)[:, None]
     n_snr = len(n0s)
     symbol_errors = np.zeros((len(specs), n_snr), dtype=np.int64)
     bit_errors = np.zeros((len(specs), n_snr, nbits), dtype=np.int64)
@@ -212,10 +217,11 @@ def _run_trials(cfg: SimConfig, trial_indices) -> tuple:
         rng = np.random.default_rng([cfg.seed, trial])
         h = _trial_channel(cfg, rng)
         x = np.empty((n_snr, h.shape[1]))
-        y = np.empty((n_snr, h.shape[0]))
-        for s_idx, n0 in enumerate(n0s):
+        noise = np.empty((n_snr, h.shape[0]))
+        for s_idx in range(n_snr):
             x[s_idx] = random_symbols(rng, alphabet, h.shape[1])
-            y[s_idx] = h @ x[s_idx] + np.sqrt(n0 / 2.0) * rng.standard_normal(h.shape[0])
+            noise[s_idx] = rng.standard_normal(h.shape[0])
+        y = apply(h, x) + sigmas * noise
         truth_bits = symbol_to_bits(x, nbits)
 
         for d_idx, spec in enumerate(specs):
@@ -225,21 +231,22 @@ def _run_trials(cfg: SimConfig, trial_indices) -> tuple:
                 fits = [(n0, [s_idx]) for s_idx, n0 in enumerate(n0s)]
             else:
                 fits = [(0.0, list(range(n_snr)))]
-            symbols = np.empty_like(x)
+            bits = np.empty_like(truth_bits)
             for n0, points in fits:
                 t0 = time.perf_counter_ns()
                 det.fit(h, n0=n0)
                 gains = detector_gains(det) if isinstance(det, MZFDetector) else []
                 exhausted += _count_exhausted(det, spec)
-                symbols[points] = det.predict(y[points])
+                bits[points] = det.predict_bits(y[points])
                 times[d_idx, points] += (time.perf_counter_ns() - t0) // len(points)
                 if gains:
                     total = math.fsum(g.gain_db for g in gains)
                     for s_idx in points:
                         gain_sums[d_idx * n_snr + s_idx].append(total)
                     gain_counts[d_idx, points] += len(gains)
-            symbol_errors[d_idx] += np.sum(symbols != x, axis=1)
-            bit_errors[d_idx] += np.sum(symbol_to_bits(symbols, nbits) != truth_bits, axis=1)
+            wrong = bits != truth_bits
+            symbol_errors[d_idx] += np.sum(wrong.any(axis=-1), axis=1)
+            bit_errors[d_idx] += np.sum(wrong, axis=1)
     return symbol_errors, bit_errors, gain_counts, times, exhausted, gain_sums
 
 

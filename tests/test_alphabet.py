@@ -124,6 +124,22 @@ class TestQuantizePam:
         want = pts[np.argmin(np.abs(v[:, None] - pts), axis=-1)]
         assert quantize_pam(v, a, scale=scale).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("m,scale", [(4, 1.0), (16, 0.5), (64, 0.25), (256, 3.0)])
+    def test_clip_gives_the_bytes_of_np_clip(self, m, scale):
+        a = make_alphabet(m)
+        edge = scale * (a.sqrt_m - 1)
+        rng = np.random.default_rng(m + 1)
+        v = np.concatenate([
+            rng.uniform(-2 * edge, 2 * edge, 2000),
+            [0.0, -0.0, np.inf, -np.inf, edge, -edge, np.nextafter(edge, np.inf)],
+        ])
+        pts = scale * a.tie_order
+        want = pts[np.argmin(np.abs(np.clip(v, -edge, edge)[:, None] - pts), axis=-1)]
+        assert quantize_pam(v, a, scale=scale).tobytes() == want.tobytes()
+        for value, expected in zip(v[-7:].tolist(), want[-7:].tolist()):
+            got = quantize_pam(value, a, scale=scale)
+            assert type(got) is float and got == expected
+
     def test_vectorized(self):
         a = make_alphabet(4)
         out = quantize_pam(np.array([-0.2, 0.9, -3.0]), a)
@@ -178,6 +194,17 @@ class TestBitMapping:
     def test_top_bit_is_sign(self, nbits):
         for p in make_alphabet(4**nbits).points:
             assert symbol_to_bits(int(p), nbits)[-1] == np.sign(p)
+
+    @pytest.mark.parametrize("nbits", [1, 2, 3])
+    def test_symbols_differ_exactly_where_a_bit_does(self, nbits):
+        # the harness counts symbol errors from bits, which the one-to-one
+        # map makes the same count
+        a = make_alphabet(4**nbits)
+        rng = np.random.default_rng(nbits)
+        x = a.points[rng.integers(0, a.sqrt_m, size=(2, 200, 6))].astype(float)
+        x[1, :50] = x[0, :50]  # some rows all equal
+        differ = (symbol_to_bits(x[0], nbits) != symbol_to_bits(x[1], nbits)).any(-1)
+        assert np.array_equal(differ, x[0] != x[1])
 
     def test_rejects_even_or_out_of_range(self):
         with pytest.raises(ValueError):

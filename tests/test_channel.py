@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mzf import channel
 from mzf.channel import (
     ComplexChannel,
     NoiseSpec,
@@ -123,6 +124,51 @@ class TestPseudoInverse:
         h = np.ones((3, 2))  # duplicate columns
         with pytest.raises(ValueError, match=r"singular value 1"):
             pseudo_inverse(h)
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-320])
+    def test_overflowing_inverse_names_the_cause(self, scale):
+        # a finite channel this small has full rank by the relative rule,
+        # but the reciprocal of its smallest singular value overflows
+        h = scale * np.random.default_rng(8).standard_normal((6, 6))
+        with pytest.raises(ValueError, match="pseudo-inverse is not finite"):
+            pseudo_inverse(h)
+
+
+@pytest.mark.usefixtures("fresh_pseudo_inverse_memo")
+class TestPseudoInverseMemo:
+    def test_returns_the_bytes_of_a_fresh_inverse_read_only(self):
+        h = generate_real_channel(np.random.default_rng(9), 6)
+        first = channel._pseudo_inverse(h)
+        assert first.tobytes() == pseudo_inverse(h).tobytes()
+        assert channel._pseudo_inverse(h.copy()) is first
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 0.0
+        # the public call stays the caller's own array
+        assert pseudo_inverse(h).flags.writeable
+
+    def test_writing_into_the_channel_gives_a_fresh_result(self):
+        h = generate_real_channel(np.random.default_rng(10), 6)
+        first = channel._pseudo_inverse(h)
+        h[0, 0] += 1.0
+        changed = channel._pseudo_inverse(h)
+        assert changed is not first
+        assert changed.tobytes() == pseudo_inverse(h).tobytes()
+
+    def test_layout_is_part_of_the_key(self):
+        h = generate_real_channel(np.random.default_rng(11), 6)
+        first = channel._pseudo_inverse(h)
+        other = channel._pseudo_inverse(np.asfortranarray(h))
+        assert other is not first
+
+    def test_refused_channel_raises_every_time_and_is_never_stored(self):
+        good = generate_real_channel(np.random.default_rng(12), 6)
+        kept = channel._pseudo_inverse(good)
+        bad = good.copy()
+        bad[:, 5] = bad[:, 4]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="linearly dependent"):
+                channel._pseudo_inverse(bad)
+        assert channel._pseudo_inverse(good) is kept
 
 
 class TestLmmseInverse:

@@ -480,6 +480,48 @@ class TestExtremeScaleChannels:
         assert np.all(np.isfinite(det.hplus_))
 
 
+def dependent_channel():
+    """A 6x6 Gaussian channel whose column 5 equals column 4."""
+    h = np.random.default_rng(2).standard_normal((6, 6))
+    h[:, 5] = h[:, 4]
+    return h
+
+
+# every detector without regularization, each fitted at n0 = 0
+UNREGULARIZED = [
+    ZFDetector(16),
+    MZFDetector(16, solver="sd"),
+    MZFDetector(16, solver="lll"),
+    MZFDetector(16, solver="brute"),
+    MZFDetector(16, equalizer="lmmse"),
+    MLDetector(16),
+    LARDetector(16),
+    LMMSEDetector(16),
+]
+
+
+@pytest.mark.usefixtures("fresh_pseudo_inverse_memo")
+@pytest.mark.parametrize("det", UNREGULARIZED, ids=lambda d: type(d).__name__)
+class TestRankRule:
+    """One full-column-rank test, the RANK_RTOL rule on the singular values
+    of the channel, refuses a singular channel at fit for every family."""
+
+    def test_refuses_dependent_columns(self, det):
+        with pytest.raises(ValueError, match="linearly dependent: singular value 5"):
+            det.fit(dependent_channel())
+
+    def test_refuses_an_overflowing_pseudo_inverse(self, det):
+        h = 1e-310 * np.random.default_rng(2).standard_normal((6, 6))
+        with pytest.raises(ValueError, match="pseudo-inverse is not finite"):
+            det.fit(h)
+
+
+@pytest.mark.parametrize("det", [LMMSEDetector(16), MZFDetector(16, equalizer="lmmse")])
+def test_regularized_fit_accepts_dependent_columns(det):
+    det.fit(dependent_channel(), n0=0.1)
+    assert np.all(np.isfinite(det.hplus_))
+
+
 class TestLAR:
     def test_orthogonal_channel_matches_zf(self):
         rng = np.random.default_rng(14)

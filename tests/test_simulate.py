@@ -197,7 +197,7 @@ class TestRunExperiment:
 class TestBatching:
     def test_one_predict_per_trial_and_fit(self, monkeypatch):
         # a detector fitted once per trial detects every SNR point in one
-        # predict; one whose fit needs n0 is fitted and called per point
+        # predict_bits; one whose fit needs n0 is fitted and called per point
         calls = collections.Counter()
 
         def counted(method):
@@ -209,7 +209,7 @@ class TestBatching:
 
             monkeypatch.setattr(MimoDetector, method, wrapper)
 
-        for method in ("fit", "predict", "detect"):
+        for method in ("fit", "predict_bits", "detect"):
             counted(method)
         trials, points = 5, 3
         cfg = dataclasses.replace(
@@ -221,14 +221,35 @@ class TestBatching:
         run_experiment(cfg)
         assert calls == {
             ("ZFDetector", "fit"): trials,
-            ("ZFDetector", "predict"): trials,
+            ("ZFDetector", "predict_bits"): trials,
             ("MLDetector", "fit"): trials,
-            ("MLDetector", "predict"): trials,
+            ("MLDetector", "predict_bits"): trials,
             ("MZFDetector", "fit"): trials + trials * points,
-            ("MZFDetector", "predict"): trials + trials * points,
+            ("MZFDetector", "predict_bits"): trials + trials * points,
             ("LMMSEDetector", "fit"): trials * points,
-            ("LMMSEDetector", "predict"): trials * points,
+            ("LMMSEDetector", "predict_bits"): trials * points,
         }
+
+    @pytest.mark.usefixtures("fresh_pseudo_inverse_memo")
+    def test_one_svd_per_trial(self, monkeypatch):
+        # ZF computes the trial's pseudo-inverse; the three modulus fits
+        # and ML's rank check read it from the memo
+        calls = []
+        real = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        cfg = dataclasses.replace(
+            BASE,
+            modulation=16,
+            trials=5,
+            detectors=("zf", "mzf:sd", "mzf-ext2:sd", "mzf-ext3:sd", "ml"),
+        )
+        run_experiment(cfg)
+        assert len(calls) == cfg.trials
 
 
 @pytest.mark.usefixtures("fresh_reduction_memo")
