@@ -7,6 +7,7 @@ y = H x + n with noise covariance (N0 / 2) * I.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ class NoiseSpec:
     n0: float
 
     def __post_init__(self):
-        if not np.isfinite(self.n0) or self.n0 < 0:
+        if not math.isfinite(self.n0) or self.n0 < 0:
             raise ValueError(f"noise density must be finite and >= 0, got {self.n0}")
 
 

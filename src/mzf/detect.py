@@ -7,7 +7,8 @@ so one fitted detector serves every observation drawn while the channel
 stays constant.  Constructor arguments are stored verbatim and checked by
 _validate_params, the first step of fit; fitted state carries a trailing
 underscore.  Every detector detects through one method, _block, which
-takes an n_obs x N block; detect() is a block of one row.
+takes an n_obs x N block and returns the symbols or the bits, whichever
+it decides in; detect() is a block of one row.
 """
 
 from __future__ import annotations
@@ -153,10 +154,21 @@ class MimoDetector:
     def _fit(self, h: np.ndarray, n0: float) -> None:
         raise NotImplementedError
 
-    def _block(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _block(self, y: np.ndarray) -> tuple:
         """Symbols, +-1 bits and layer_z of every row of a checked
-        n_obs x N block."""
+        n_obs x N block; one of symbols and bits is None, the form the
+        detector does not decide in."""
         raise NotImplementedError
+
+    def _forms(self, y, symbols: bool, bits: bool) -> tuple:
+        """_block(y) with the symbols and/or the bits it left None mapped
+        from the other form, only where asked for."""
+        s, b, layer_z = self._block(y)
+        if symbols and s is None:
+            s = bits_to_symbol(b).astype(float)
+        if bits and b is None:
+            b = symbol_to_bits(s, self.alphabet_.nbits)
+        return s, b, layer_z
 
     def _checked(self, y) -> np.ndarray:
         """y as a float observation vector or n_obs x N block; raises before
@@ -177,7 +189,7 @@ class MimoDetector:
     def detect(self, y) -> DetectionResult:
         """Full detection record for a single observation vector."""
         y = self._checked(np.asarray(y).reshape(-1))
-        symbols, bits, layer_z = self._block(y[None])
+        symbols, bits, layer_z = self._forms(y[None], True, True)
         return DetectionResult(symbols=symbols[0], bits=bits[0], layer_z=layer_z[0])
 
     def predict(self, y) -> np.ndarray:
@@ -191,7 +203,7 @@ class MimoDetector:
 
     def _predicted(self, y, part: int) -> np.ndarray:
         y = self._checked(y)
-        out = self._block(np.atleast_2d(y))[part]
+        out = self._forms(np.atleast_2d(y), part == 0, part == 1)[part]
         return out if y.ndim == 2 else out[0]
 
 
@@ -209,8 +221,7 @@ class ZFDetector(MimoDetector):
 
     def _block(self, y):
         est = apply(self.hplus_, y)
-        symbols = quantize_pam(est, self.alphabet_)
-        return symbols, symbol_to_bits(symbols, self.alphabet_.nbits), est
+        return quantize_pam(est, self.alphabet_), None, est
 
 
 class LMMSEDetector(ZFDetector):
@@ -249,8 +260,7 @@ class MLDetector(MimoDetector):
             for v in apply(q.T, y + self.shift_)
         ]).reshape(len(y), k)
         symbols = (2 * u - hi[0]).astype(float)
-        bits = symbol_to_bits(symbols, self.alphabet_.nbits)
-        return symbols, bits, apply(self.h_, symbols)
+        return symbols, None, apply(self.h_, symbols)
 
 
 class LARDetector(MimoDetector):
@@ -288,8 +298,7 @@ class LARDetector(MimoDetector):
         else:
             z = quantize_int(apply(self.hbar_inv_, y))
             raw = apply(t, z).astype(float)
-        symbols = quantize_pam(raw, self.alphabet_)
-        return symbols, symbol_to_bits(symbols, self.alphabet_.nbits), raw
+        return quantize_pam(raw, self.alphabet_), None, raw
 
 
 class MZFDetector(MimoDetector):
@@ -453,8 +462,7 @@ class MZFDetector(MimoDetector):
         if self.variant in ("plain", "scaled-alpha"):
             z = self._stage(y, 0, 0, self.degenerate_[0])
             tau = alphabet.tau
-            symbols = np.rint(quantize_pam(z, alphabet, scale=tau) / tau)
-            return symbols, symbol_to_bits(symbols, nbits), z
+            return np.rint(quantize_pam(z, alphabet, scale=tau) / tau), None, z
         literal = self.parity == "paper-literal"
         z = np.empty((y.shape[0], self.k_, nbits))
         for j in range(nbits):
@@ -473,8 +481,7 @@ class MZFDetector(MimoDetector):
                 # subtract the decided bits
                 b = np.where(z[:, :, j] >= 0, 1.0, -1.0)
                 y = (y - apply(self.h_, b)) / 2.0
-        bits = np.where(z >= 0, 1, -1)
-        return bits_to_symbol(bits).astype(float), bits, z
+        return None, np.where(z >= 0, 1, -1), z
 
     def _stage(self, y, s, n, bypass):
         """layer_z of one stage: combine y with the rows of plan stage s and

@@ -122,21 +122,26 @@ def _gram_schmidt(basis: np.ndarray):
     mu carries an implicit unit diagonal so that size-reduction updates can
     subtract whole rows.  Each orthogonal column's squared norm is taken
     once, as the dot product of its column view with itself, and serves
-    every coefficient against that column: the same BLAS call on the same
-    strided data as a per-pair recompute, so the same bytes.
+    every coefficient against that column.  The coefficients of column i
+    come from one stacked matmul whose items are the strided DOT calls a
+    per-pair recompute makes, and the column is one subtract.reduce over
+    [b_i; c_j o_j], which subtracts in the order of a per-pair loop: the
+    same bytes.
     """
     n = basis.shape[1]
     ortho = np.zeros_like(basis)
+    o = ortho.T  # o[j] views column j, as ortho[:, j] does
     mu = np.eye(n)
-    o_cols = list(ortho.T)  # views of the columns, as ortho[:, j] is
-    sq = []  # sq[j] = o_cols[j] @ o_cols[j], once column j is final
-    for i, (b_i, o_i) in enumerate(zip(basis.T, o_cols)):
-        v = b_i.copy()
-        for j, (o_j, sq_j) in enumerate(zip(o_cols, sq)):
-            mu[i, j] = c = (b_i @ o_j) / sq_j
-            v -= c * o_j
-        o_i[...] = v
-        sq.append(o_i @ o_i)
+    sq = np.empty(n)  # sq[j] = o[j] @ o[j], once column j is final
+    terms = np.empty((n, basis.shape[0]))  # b_i, then c[j] * o[j] for j < i
+    for i, b_i in enumerate(basis.T):
+        c = np.matmul(o[:i, None, :], b_i[:, None]).reshape(i)
+        c /= sq[:i]
+        mu[i, :i] = c
+        terms[0] = b_i
+        np.multiply(c[:, None], o[:i], out=terms[1 : i + 1])
+        np.subtract.reduce(terms[: i + 1], out=o[i])
+        sq[i] = o[i] @ o[i]
     return np.sum(ortho**2, axis=0), mu
 
 

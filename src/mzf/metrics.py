@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,8 +14,7 @@ from .detect import DetectionResult
 from .rowwise import dots
 
 
-@dataclass(frozen=True)
-class LayerGain:
+class LayerGain(NamedTuple):
     """Post-processing SNR of one layer, before and after perturbation."""
 
     layer: int

@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -67,7 +68,10 @@ class DetectorSpec:
         return label
 
 
+@lru_cache
 def parse_detector_spec(text: str) -> DetectorSpec:
+    """The spec of a detector id; memoized, so a run parses each id once (a
+    bad id raises, and nothing is stored for it)."""
     body, solver_suffix, solver = text.partition(":")
     kind, _, equalizer = body.partition("+")
     kind = kind.strip().lower()
@@ -173,6 +177,11 @@ def _noise_dependent(spec: DetectorSpec) -> bool:
     return spec.kind == "lmmse" or spec.equalizer == "lmmse"
 
 
+def _dimension(cfg: SimConfig) -> int:
+    """Real dimension K of the channels: symbols per observation."""
+    return 2 * cfg.kc if cfg.kc is not None else cfg.k_real
+
+
 def _trial_channel(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
     if cfg.kc is not None:
         return embed_complex(generate_channel(rng, cfg.kc))
@@ -186,6 +195,16 @@ def _count_exhausted(det, spec: DetectorSpec) -> int:
     return int(np.count_nonzero(~det.exact_))
 
 
+def _fit_plan(spec: DetectorSpec, n0s: list) -> list:
+    """(n0 of the fit, slice of the SNR points detected on it) for each fit
+    a trial makes of the detector: one per point if the fit needs n0, else
+    one at n0 = 0 for every point.  Indexing by a slice is basic indexing,
+    so it makes views, not copies."""
+    if _noise_dependent(spec):
+        return [(n0, slice(s_idx, s_idx + 1)) for s_idx, n0 in enumerate(n0s)]
+    return [(0.0, slice(None))]
+
+
 def _run_trials(cfg: SimConfig, trial_indices) -> tuple:
     """Process a batch of trials; returns symbol errors, bit errors (per
     bit layer on a trailing axis), gain counts and wall times in ns as
@@ -193,25 +212,32 @@ def _run_trials(cfg: SimConfig, trial_indices) -> tuple:
     searches, and per (detector, snr) cell, detector-major, the list of each
     trial's exactly rounded gain sum (none for a detector without gains).
 
-    A trial draws the symbols and noise of every SNR point first and forms
-    all observations at once, then each detector fitted once per trial
-    detects all of them in one predict_bits call; a detector whose fit needs
-    n0 is fitted and called once per point.  The bit map is one to one, so
-    a symbol is in error exactly when one of its bits is, and only the
-    transmitted symbols are mapped to bits here.
+    The detectors and their fit plans are made once per run.  A trial
+    draws the symbols and noise of every SNR point first and forms all
+    observations at once, then each detector fitted once per trial detects
+    all of them in one predict_bits call; a detector whose fit needs n0 is
+    fitted and called once per point.  Every detector's bits go into one
+    (detector, point, K, nbits) array, and the errors of all detectors are
+    counted once per trial from it.  The bit map is one to one, so a symbol
+    is in error exactly when one of its bits is, and only the transmitted
+    symbols are mapped to bits here.
     """
     specs = [parse_detector_spec(s) for s in cfg.detectors]
     alphabet = make_alphabet(cfg.modulation)
     nbits = alphabet.nbits
     n0s = [snr_to_n0(s, alphabet).n0 for s in cfg.snr_db]
     sigmas = np.sqrt(np.array(n0s) / 2.0)[:, None]
-    n_snr = len(n0s)
-    symbol_errors = np.zeros((len(specs), n_snr), dtype=np.int64)
-    bit_errors = np.zeros((len(specs), n_snr, nbits), dtype=np.int64)
-    gain_counts = np.zeros((len(specs), n_snr), dtype=np.int64)
-    gain_sums = [[] for _ in range(len(specs) * n_snr)]
-    times = np.zeros((len(specs), n_snr), dtype=np.int64)
+    n_det, n_snr = len(specs), len(n0s)
+    detectors = [build_detector(spec, cfg) for spec in specs]
+    plans = [_fit_plan(spec, n0s) for spec in specs]
+    symbol_errors = np.zeros((n_det, n_snr), dtype=np.int64)
+    bit_errors = np.zeros((n_det, n_snr, nbits), dtype=np.int64)
+    gain_counts = np.zeros((n_det, n_snr), dtype=np.int64)
+    gain_sums = [[] for _ in range(n_det * n_snr)]
+    times = np.zeros((n_det, n_snr), dtype=np.int64)
     exhausted = 0
+    # every entry is rewritten in each trial
+    bits = np.empty((n_det, n_snr, _dimension(cfg), nbits), dtype=np.int64)
 
     for trial in trial_indices:
         rng = np.random.default_rng([cfg.seed, trial])
@@ -224,29 +250,23 @@ def _run_trials(cfg: SimConfig, trial_indices) -> tuple:
         y = apply(h, x) + sigmas * noise
         truth_bits = symbol_to_bits(x, nbits)
 
-        for d_idx, spec in enumerate(specs):
-            det = build_detector(spec, cfg)
-            # (n0 of the fit, SNR points detected on it)
-            if _noise_dependent(spec):
-                fits = [(n0, [s_idx]) for s_idx, n0 in enumerate(n0s)]
-            else:
-                fits = [(0.0, list(range(n_snr)))]
-            bits = np.empty_like(truth_bits)
+        for d_idx, (spec, det, fits) in enumerate(zip(specs, detectors, plans)):
             for n0, points in fits:
+                cells = range(d_idx * n_snr, (d_idx + 1) * n_snr)[points]
                 t0 = time.perf_counter_ns()
                 det.fit(h, n0=n0)
                 gains = detector_gains(det) if isinstance(det, MZFDetector) else []
                 exhausted += _count_exhausted(det, spec)
-                bits[points] = det.predict_bits(y[points])
-                times[d_idx, points] += (time.perf_counter_ns() - t0) // len(points)
+                bits[d_idx, points] = det.predict_bits(y[points])
+                times[d_idx, points] += (time.perf_counter_ns() - t0) // len(cells)
                 if gains:
                     total = math.fsum(g.gain_db for g in gains)
-                    for s_idx in points:
-                        gain_sums[d_idx * n_snr + s_idx].append(total)
+                    for cell in cells:
+                        gain_sums[cell].append(total)
                     gain_counts[d_idx, points] += len(gains)
-            wrong = bits != truth_bits
-            symbol_errors[d_idx] += np.sum(wrong.any(axis=-1), axis=1)
-            bit_errors[d_idx] += np.sum(wrong, axis=1)
+        wrong = bits != truth_bits
+        symbol_errors += np.sum(wrong.any(axis=-1), axis=2)
+        bit_errors += np.sum(wrong, axis=2)
     return symbol_errors, bit_errors, gain_counts, times, exhausted, gain_sums
 
 
@@ -286,7 +306,11 @@ def _map_trials(run, cfg: SimConfig) -> list:
 
 def run_experiment(cfg: SimConfig) -> list[SimRecord]:
     """Run the configured sweep and return one record per
-    (detector, SNR point, bit layer) plus an aggregate "all" row each."""
+    (detector, SNR point, bit layer) plus an aggregate "all" row each.
+
+    The records are built from one list per field, every entry a Python
+    str, float or int (what _fmt and emit format), zipped row by row into
+    SimRecord tuples."""
     parts = _map_trials(_run_trials, cfg)
     # counts are exact integers and every gain sum is kept, so the totals do
     # not depend on how the trials were split
@@ -303,27 +327,36 @@ def run_experiment(cfg: SimConfig) -> list[SimRecord]:
 
     # every rate divides two integers below 2**53 in float64: the exact
     # quotient, correctly rounded
-    nbits = bit_errors.shape[-1]
-    counted = cfg.trials * (2 * cfg.kc if cfg.kc is not None else cfg.k_real)
-    ser = (symbol_errors / counted).ravel().tolist()
+    n_det, n_snr, nbits = bit_errors.shape
+    per_cell = nbits + 1  # one row per bit layer and an "all" row
+    counted = cfg.trials * _dimension(cfg)
     bers = np.concatenate(
         [bit_errors / counted, bit_errors.sum(axis=-1, keepdims=True) / (nbits * counted)],
         axis=-1,
-    ).reshape(len(ser), -1).tolist()
+    ).ravel().tolist()
     # fsum rounds the exact sum, so the order of the per-trial sums is moot
     gains = [
         math.fsum(sums) / count if count else 0.0
         for sums, count in zip(gain_sums, gain_counts.ravel().tolist())
     ]
-    ms = (times // 1_000_000).ravel().tolist() if cfg.timing else [0] * len(ser)
-    bit_layers = [str(j) for j in range(1, nbits + 1)] + ["all"]
+    ms = times // 1_000_000 if cfg.timing else np.zeros_like(times)
     labels = [parse_detector_spec(d).label for d in cfg.detectors]
-    cells = [(label, float(snr)) for label in labels for snr in cfg.snr_db]
-    return [
-        SimRecord(label, snr, bit_layer, ber, ser_i, gain, cfg.trials, ms_i)
-        for (label, snr), ser_i, gain, ms_i, cell_bers in zip(cells, ser, gains, ms, bers)
-        for bit_layer, ber in zip(bit_layers, cell_bers)
-    ]
+    snrs = [float(snr) for snr in cfg.snr_db]
+    bit_layers = [str(j) for j in range(1, per_cell)] + ["all"]
+    # one list of Python scalars per field, row-major over (detector, SNR
+    # point, bit layer); tuple.__new__ is what SimRecord._make runs, without
+    # a Python frame per record
+    columns = (
+        [label for label in labels for _ in range(n_snr * per_cell)],
+        [snr for snr in snrs for _ in range(per_cell)] * n_det,
+        bit_layers * (n_det * n_snr),
+        bers,
+        np.repeat(symbol_errors / counted, per_cell).tolist(),
+        np.repeat(gains, per_cell).tolist(),
+        [cfg.trials] * len(bers),
+        np.repeat(ms, per_cell).tolist(),
+    )
+    return list(map(partial(tuple.__new__, SimRecord), zip(*columns)))
 
 
 def _fmt(value) -> str:

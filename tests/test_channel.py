@@ -196,6 +196,11 @@ class TestLmmseInverse:
         with pytest.raises(ValueError):
             NoiseSpec(-1.0)
 
+    @pytest.mark.parametrize("n0", [float("nan"), float("inf"), -float("inf"), -1e-300])
+    def test_noise_spec_refuses_non_finite_and_negative(self, n0):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            NoiseSpec(n0)
+
 
 class TestMmseErrorMatrix:
     def test_exact_inverse_kills_left_block(self):

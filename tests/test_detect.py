@@ -745,6 +745,51 @@ class TestBlockDetection:
         assert det.predict(np.stack([Y_REF] * 3)).shape == (3, 4)
 
 
+class TestDecidedForm:
+    """_block returns the form a detector decides in, symbols or bits; the
+    other form is mapped only when a caller asks for it."""
+
+    @staticmethod
+    def fitted(det):
+        rng = np.random.default_rng(53)
+        h = embed_complex(generate_channel(rng, 2))
+        alphabet = make_alphabet(16)
+        x = alphabet.points[rng.integers(0, alphabet.sqrt_m, size=(5, 4))]
+        y = x @ h.T + 0.3 * rng.standard_normal((5, 4))
+        return det.fit(h, n0=0.1), y
+
+    @pytest.mark.parametrize(
+        "det",
+        [
+            ZFDetector(16),
+            LMMSEDetector(16),
+            MLDetector(16),
+            LARDetector(16),
+            MZFDetector(16, "plain"),
+            MZFDetector(16, "scaled-alpha"),
+        ],
+        ids=lambda d: getattr(d, "variant", type(d).__name__),
+    )
+    def test_symbol_detectors_map_bits_only_for_bits(self, monkeypatch, det):
+        det, y = self.fitted(det)
+        calls = count_calls(monkeypatch, mzf.detect, ("symbol_to_bits", "bits_to_symbol"))
+        det.predict(y)
+        assert calls == {"symbol_to_bits": 0, "bits_to_symbol": 0}
+        det.predict_bits(y)
+        det.detect(y[0])
+        assert calls == {"symbol_to_bits": 2, "bits_to_symbol": 0}
+
+    @pytest.mark.parametrize("variant", ["bitwise", "feedback"])
+    def test_bit_detectors_map_symbols_only_for_symbols(self, monkeypatch, variant):
+        det, y = self.fitted(MZFDetector(16, variant))
+        calls = count_calls(monkeypatch, mzf.detect, ("symbol_to_bits", "bits_to_symbol"))
+        det.predict_bits(y)
+        assert calls == {"symbol_to_bits": 0, "bits_to_symbol": 0}
+        det.predict(y)
+        det.detect(y[0])
+        assert calls == {"symbol_to_bits": 0, "bits_to_symbol": 2}
+
+
 def _fit_configs():
     """(channel, n0, unfitted detector): solvers sd and lll, every variant
     and equalizer setting on one kc = 3 and one real K = 8 channel at

@@ -55,6 +55,12 @@ class TestDetectorSpecs:
         with pytest.raises(ValueError):
             parse_detector_spec(bad)
 
+    def test_parsed_once_and_refused_every_time(self):
+        assert parse_detector_spec("mzf-ext2:sd") is parse_detector_spec("mzf-ext2:sd")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown solver"):
+                parse_detector_spec("mzf:fast")
+
 
 class TestConfigValidation:
     def test_valid_config_passes(self):
@@ -163,6 +169,30 @@ class TestRunExperiment:
         assert len(records) == 2 * 2 * 2
         assert [r.bit_layer for r in records[:2]] == ["1", "all"]
         assert records[0].trials == BASE.trials
+
+    def test_records_hold_python_scalars(self):
+        cfg = dataclasses.replace(BASE, modulation=16, timing=True)
+        records = run_experiment(cfg)
+        types = (str, float, str, float, float, float, int, int)
+        for r in records:
+            assert type(r) is SimRecord and len(r) == 8 and r == SimRecord(*r)
+            assert tuple(map(type, r)) == types
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_bits_keep_each_detector_apart(self, workers):
+        # one run of five detectors gives, row for row, the records of five
+        # runs of one detector each at the same seed
+        detectors = ("zf", "lmmse", "mzf:sd", "mzf+lmmse:sd", "ml")
+        cfg = dataclasses.replace(
+            BASE, modulation=16, snr_db=(6.0, 14.0, 22.0), trials=7, workers=workers
+        )
+        together = run_experiment(dataclasses.replace(cfg, detectors=detectors))
+        alone = [
+            r for d in detectors
+            for r in run_experiment(dataclasses.replace(cfg, detectors=(d,)))
+        ]
+        assert together == alone
+        assert len({(r.ber, r.ser) for r in together}) > len(detectors)
 
     def test_unstructured_real_channel_mode(self):
         cfg = dataclasses.replace(BASE, kc=None, k_real=3, trials=5)
