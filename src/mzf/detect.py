@@ -38,9 +38,7 @@ from .intsearch import (
     _lll_rows,
     _qr_positive,
     _reduce,
-    _se_enumerate,
     _solve_sd_rows,
-    _triangle,
     check_count,
     check_lll_delta,
     lll_reduce,
@@ -236,10 +234,10 @@ class MLDetector(MimoDetector):
 
     With x = 2u - (sqrt(M) - 1), ||y - Hx|| = ||y + shift - 2Hu|| for the
     shift (sqrt(M) - 1) H 1, so fit keeps the positive-diagonal QR of 2H and
-    the shift, and each observation is one Schnorr-Euchner search over u in
-    {0..sqrt(M)-1}^K (Agrell, Eriksson, Vardy and Zeger, IEEE T-IT 2002).
-    Exactly tied distances resolve to the lexicographically smallest symbol
-    vector.  layer_z is the noiseless image H x of the decision.
+    the shift, and a block of observations is one breadth-first search over
+    u in {0..sqrt(M)-1}^K (_box_search).  Exactly tied distances resolve to
+    the lexicographically smallest symbol vector.  layer_z is the noiseless
+    image H x of the decision.
     """
 
     def __init__(self, modulation: int = 4):
@@ -252,15 +250,106 @@ class MLDetector(MimoDetector):
 
     def _block(self, y):
         q, r = self.qr_
-        k = self.k_
-        cols, diag = _triangle(r)
-        hi = [self.alphabet_.sqrt_m - 1] * k
-        u = np.array([
-            _se_enumerate(v, cols, diag, math.inf, 0.0, math.inf, hi)[0]
-            for v in apply(q.T, y + self.shift_)
-        ]).reshape(len(y), k)
-        symbols = (2 * u - hi[0]).astype(float)
+        sqrt_m = self.alphabet_.sqrt_m
+        u = _box_search(apply(q.T, y + self.shift_), r, sqrt_m)
+        symbols = (2 * u - (sqrt_m - 1)).astype(float)
         return symbols, None, apply(self.h_, symbols)
+
+
+# children one expansion of _box_search scores at most (sqrt(M) where that
+# is more).  A node holds its observation index and symbols, its partial
+# targets and its distance, (2K + 2) * 8 bytes, and the search keeps at most
+# one block of nodes per level, so besides arrays of one row per observation
+# it holds at most K * ML_BLOCK_NODES nodes: 2.75 MB at K = 6, 10.2 MB at
+# K = 12.
+ML_BLOCK_NODES = 4096
+
+
+def _box_search(v, r, sqrt_m):
+    """argmin over u in {0..sqrt_m-1}^K of ||v_i - R u||^2 for every row v_i
+    of v, on the upper triangle r with positive diagonal; of exactly tied
+    distances the lexicographically smallest u.  Returns n x K int64.
+
+    The search trees of all rows are walked together, level K - 1 first:
+    every node's sqrt_m children are scored in numpy and kept where their
+    partial distance is <= the radius of their row.  The radius starts at
+    the distance of the clipped successive-interference-cancellation point,
+    the first leaf a depth-first Schnorr-Euchner search reaches (Agrell,
+    Eriksson, Vardy and Zeger, IEEE T-IT 2002), and shrinks to the best leaf
+    found.  Each node performs that search's own operations in its order,
+    p[k] - R[k, k] * m, then dist + d * d, then p - m * R[:k, k], so every
+    leaf has the distance the depth-first search computes for it, and the
+    decision is the same, ties included.  Frontiers are expanded depth first
+    in blocks of at most ML_BLOCK_NODES children.
+    """
+    n, K = v.shape
+    values = np.arange(sqrt_m, dtype=float)
+    diag = np.diag(r)
+    dm = diag[:, None] * values     # dm[k, m] = R[k, k] * m
+    mr = values[:, None, None] * r  # mr[m, :k, k] = m * R[:k, k]
+    bits = sqrt_m.bit_length() - 1  # sqrt_m is a power of two
+
+    # the radius, on the transposed targets so that each level reads a row
+    p = v.T.copy()
+    radius = np.zeros(n)
+    m = np.empty(n)
+    for k in range(K - 1, -1, -1):
+        np.divide(p[k], diag[k], out=m)
+        np.rint(m, out=m)
+        np.minimum(np.maximum(m, 0.0, out=m), sqrt_m - 1.0, out=m)
+        d = p[k] - diag[k] * m
+        radius += d * d
+        p[:k] -= r[:k, k, None] * m
+
+    # a node's tag is its row, then its symbols; a block is (level, tags,
+    # partial targets, distances), and the stack's levels rise from its top
+    tag = np.zeros((n, K + 1), dtype=np.int64)
+    tag[:, 0] = np.arange(n)
+    best, best_tag = np.full(n, np.inf), tag.copy()
+    found = False
+    per_block = max(ML_BLOCK_NODES >> bits, 1)
+    stack = [(K - 1, tag, v, np.zeros(n))]
+    while stack:
+        k, tag, p, dist = stack.pop()
+        if len(tag) > per_block:
+            stack.append((k, tag[per_block:], p[per_block:], dist[per_block:]))
+            tag, p, dist = tag[:per_block], p[:per_block], dist[:per_block]
+        nd = p[:, k, None] - dm[k]
+        nd *= nd
+        nd += dist[:, None]
+        keep = (nd <= radius.take(tag[:, 0])[:, None]).ravel().nonzero()[0]
+        parent, child = keep >> bits, keep & (sqrt_m - 1)
+        tag, nd = tag.take(parent, axis=0), nd.take(keep)
+        tag[:, k + 1] = child
+        if k:
+            p = p[:, :k].take(parent, axis=0) - mr[:, :k, k].take(child, axis=0)
+            stack.append((k - 1, tag, p, nd))
+            continue
+        tag, nd = _least(tag, nd)
+        rows = tag[:, 0]
+        if found:
+            # against the best leaves of the earlier blocks; a row without
+            # one holds (inf, zeros), which only ties where every leaf costs
+            # inf, and then the zeros leaf wins anyway
+            tag = np.concatenate([best_tag[rows], tag])
+            tag, nd = _least(tag, np.concatenate([best[rows], nd]))
+        best[rows] = radius[rows] = nd
+        best_tag[rows] = tag
+        found = True
+    return best_tag[:, 1:]
+
+
+def _least(tag, dist):
+    """(tags, distances) of the least distance, then the least symbols, of
+    every row among the leaves tag, sorted by row."""
+    rows = tag[:, 0]
+    if (rows[1:] > rows[:-1]).all():  # already one leaf per row, sorted
+        return tag, dist
+    order = np.lexsort((*tag[:, :0:-1].T, dist, rows))
+    tag = tag.take(order, axis=0)
+    first = np.ones(len(tag), dtype=bool)
+    np.not_equal(tag[1:, 0], tag[:-1, 0], out=first[1:])
+    return tag[first], dist.take(order[first])
 
 
 class LARDetector(MimoDetector):

@@ -15,7 +15,9 @@ same order, and round() rounds half to even like np.round, so the outputs
 are the bytes of the array formulation (tests/test_intsearch.py pins them).
 The first Gram-Schmidt pass of lll_reduce takes each orthogonal column's
 squared norm once rather than once per coefficient, by the same dot
-product, so it too keeps its bytes.
+product, so it too keeps its bytes.  The enumeration serves the
+even-integer searches only: exact ML detection walks its bounded symbol box
+breadth first (detect._box_search).
 
 A fit searches K targets (one per layer and stage) on one basis, so the row
 search _solve_sd_rows takes a block of targets: the warm starts and every
@@ -262,6 +264,8 @@ def solve_sd(
     otherwise); it tightens the enumeration dramatically and is shared,
     factorizations included, across all layers of one coherence interval.
     """
+    if cache is not None:
+        _check_cache(problem.B, cache)
     return _first(_solve_sd_rows(problem.b[None], problem.B, budget, cache))
 
 
@@ -269,14 +273,15 @@ def _solve_sd_rows(targets, B, budget, cache):
     """solve_sd on every row of the R x ncols block targets against one B
     (see the module docstring); returns (q, cost, exact, nodes) arrays.
 
-    With a cache, rows searched on it before at this budget come from its
-    searched memo and only the others are searched; when none was searched
-    before, the search's own arrays are returned."""
+    cache, when given, is the reduction of B transposed: the public calls
+    check that, and the fit has just made it from B.  Rows searched on it
+    before at this budget come from its searched memo and only the others
+    are searched; when none was searched before, the search's own arrays
+    are returned."""
     check_count(budget, "budget", 1)
     targets = np.asarray(targets, dtype=float)
     if cache is None:
         return _search_rows(targets, B, budget, None)
-    _check_cache(B, cache)
     memo = cache.searched
     keys = [(row.tobytes(), budget) for row in targets]
     miss = [i for i, key in enumerate(keys) if key not in memo]
@@ -290,7 +295,7 @@ def _solve_sd_rows(targets, B, budget, cache):
 
 
 def _search_rows(targets, B, budget, cache):
-    """The row search itself, on a cache already checked against B."""
+    """The row search itself, on the reduction cache of B transposed."""
     rows, K = len(targets), B.shape[0]
     if cache is None:
         q_mat, r_mat = _qr_positive(2.0 * B.T)
@@ -356,19 +361,13 @@ def _triangle(r):
     return [r[:k, k].tolist() for k in range(r.shape[1])], np.diag(r).tolist()
 
 
-def _se_enumerate(v, cols, diag, best_cost, c0, budget, hi=None):
+def _se_enumerate(v, cols, diag, best_cost, c0, budget):
     """Depth-first enumeration core on the triangle R given as its columns
     above the diagonal and its diagonal; returns (best coeffs, nodes,
     exact), the coeffs all zero when no point beats best_cost.
 
     partial[i] is v minus the contributions of levels > i; only its first
     i + 1 entries are ever read, so a descent to level k - 1 builds just k.
-
-    hi, when given, boxes the search: coefficient k runs over 0..hi[k] only
-    (each level starts at its clipped rounding and skips the values past
-    either end of its zig-zag), and of two points of exactly equal cost the
-    lexicographically smaller one wins, so subtrees that tie the best cost
-    are searched too.
     """
     K = v.size
     best_w = [0] * K
@@ -380,7 +379,7 @@ def _se_enumerate(v, cols, diag, best_cost, c0, budget, hi=None):
     k = K - 1
     partial[k] = v.tolist()
     center = partial[k][k] / diag[k]
-    m[k] = round(center) if hi is None else min(max(round(center), 0), hi[k])
+    m[k] = round(center)
     step[k] = 1 if center >= m[k] else -1
     exact = True
     while True:
@@ -390,36 +389,25 @@ def _se_enumerate(v, cols, diag, best_cost, c0, budget, hi=None):
             break
         d = partial[k][k] - diag[k] * m[k]
         nd = dist[k + 1] + d * d
-        if nd + c0 < best_cost or (hi is not None and nd + c0 == best_cost):
+        if nd + c0 < best_cost:
             if k:
                 dist[k] = nd
                 m_k = float(m[k])  # exact, and float * float is the fast path
                 partial[k - 1] = [p - m_k * r for p, r in zip(partial[k], cols[k])]
                 k -= 1
                 center = partial[k][k] / diag[k]
-                m[k] = round(center) if hi is None else min(max(round(center), 0), hi[k])
+                m[k] = round(center)
                 step[k] = 1 if center >= m[k] else -1
                 continue
-            if nd + c0 < best_cost or m < best_w:
-                best_cost = nd + c0
-                best_w = m.copy()
+            best_cost = nd + c0
+            best_w = m.copy()
         elif k == K - 1:
             break
         else:
             k += 1
-        # the next sibling on level k in zig-zag order; in the box, a level
-        # whose next two values both lie outside it is spent, so climb
-        while True:
-            m[k] += step[k]
-            step[k] = -step[k] - (1 if step[k] > 0 else -1)
-            if hi is None or 0 <= m[k] <= hi[k]:
-                break
-            if not 0 <= m[k] + step[k] <= hi[k]:
-                k += 1
-                if k == K:
-                    break
-        if k == K:
-            break
+        # the next sibling on level k in zig-zag order
+        m[k] += step[k]
+        step[k] = -step[k] - (1 if step[k] > 0 else -1)
     return best_w, nodes, exact
 
 
@@ -492,8 +480,8 @@ def solve_lll(problem: IlsProblem, cache: ReducedBasis) -> IlsSolution:
 
 
 def _lll_rows(targets, B, cache: ReducedBasis):
-    """solve_lll on every row of targets, on a cache already checked against
-    B; returns (q, cost, exact, nodes) arrays as _solve_sd_rows does."""
+    """solve_lll on every row of targets, on the reduction cache of B
+    transposed; returns (q, cost, exact, nodes) arrays as _solve_sd_rows does."""
     rows, K = len(targets), B.shape[0]
     # candidates: the two snapped estimates, then zero
     q = np.zeros((rows, 3, K), dtype=np.int64)

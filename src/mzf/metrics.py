@@ -31,19 +31,23 @@ def detector_gains(detector, snr_linear: float = 1.0) -> list[LayerGain]:
     is tau^2 snr / ||combining_row||^2.  Degenerate layers reuse the plain
     row, so their gain is exactly zero.
     """
+    return list(map(LayerGain._make, _gain_rows(detector, snr_linear)))
+
+
+def _gain_rows(detector, snr_linear: float = 1.0) -> list[tuple]:
+    """The (layer, gamma_zf, gamma_mzf, gain_db) of every LayerGain of
+    detector_gains, as plain tuples in its order."""
     hplus, comb = detector.hplus_, detector.comb_
     gamma_zf = (snr_linear / dots(hplus, hplus)).tolist()
     gamma_mzf = (detector.tau_[:, None] ** 2 * snr_linear / dots(comb, comb)).T.tolist()
     degenerate = detector.degenerate_.T.tolist()
-    gains = []
-    for layer, (zf, mzf_row, degen_row) in enumerate(zip(gamma_zf, gamma_mzf, degenerate)):
-        for mzf, degen in zip(mzf_row, degen_row):
-            if degen:
-                gains.append(LayerGain(layer, zf, zf, 0.0))
-            else:
-                # math.log10, not np.log10: the two round some ratios an ulp apart
-                gains.append(LayerGain(layer, zf, mzf, 10.0 * math.log10(mzf / zf)))
-    return gains
+    return [
+        (layer, zf, zf, 0.0) if degen
+        # math.log10, not np.log10: the two round some ratios an ulp apart
+        else (layer, zf, mzf, 10.0 * math.log10(mzf / zf))
+        for layer, (zf, mzf_row, degen_row) in enumerate(zip(gamma_zf, gamma_mzf, degenerate))
+        for mzf, degen in zip(mzf_row, degen_row)
+    ]
 
 
 def snr_to_n0(snr_db: float, alphabet: PamAlphabet) -> NoiseSpec:

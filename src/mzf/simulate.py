@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alphabet import make_alphabet, random_symbols, symbol_to_bits
+from .alphabet import make_alphabet, symbol_to_bits
 from .channel import embed_complex, generate_channel, generate_real_channel
 from .detect import (
     EQUALIZERS,
@@ -38,7 +38,7 @@ from .detect import (
     _check_choice,
 )
 from .intsearch import check_count
-from .metrics import detector_gains, snr_to_n0
+from .metrics import _gain_rows, detector_gains, snr_to_n0
 from .rowwise import apply
 
 MZF_KIND_VARIANTS = {
@@ -242,11 +242,7 @@ def _run_trials(cfg: SimConfig, trial_indices) -> tuple:
     for trial in trial_indices:
         rng = np.random.default_rng([cfg.seed, trial])
         h = _trial_channel(cfg, rng)
-        x = np.empty((n_snr, h.shape[1]))
-        noise = np.empty((n_snr, h.shape[0]))
-        for s_idx in range(n_snr):
-            x[s_idx] = random_symbols(rng, alphabet, h.shape[1])
-            noise[s_idx] = rng.standard_normal(h.shape[0])
+        x, noise = _draw(rng, alphabet, n_snr, h.shape[1], h.shape[0])
         y = apply(h, x) + sigmas * noise
         truth_bits = symbol_to_bits(x, nbits)
 
@@ -255,12 +251,12 @@ def _run_trials(cfg: SimConfig, trial_indices) -> tuple:
                 cells = range(d_idx * n_snr, (d_idx + 1) * n_snr)[points]
                 t0 = time.perf_counter_ns()
                 det.fit(h, n0=n0)
-                gains = detector_gains(det) if isinstance(det, MZFDetector) else []
+                gains = _gain_rows(det) if isinstance(det, MZFDetector) else []
                 exhausted += _count_exhausted(det, spec)
                 bits[d_idx, points] = det.predict_bits(y[points])
                 times[d_idx, points] += (time.perf_counter_ns() - t0) // len(cells)
                 if gains:
-                    total = math.fsum(g.gain_db for g in gains)
+                    total = math.fsum(gain[3] for gain in gains)
                     for cell in cells:
                         gain_sums[cell].append(total)
                     gain_counts[d_idx, points] += len(gains)
@@ -268,6 +264,19 @@ def _run_trials(cfg: SimConfig, trial_indices) -> tuple:
         symbol_errors += np.sum(wrong.any(axis=-1), axis=2)
         bit_errors += np.sum(wrong, axis=2)
     return symbol_errors, bit_errors, gain_counts, times, exhausted, gain_sums
+
+
+def _draw(rng, alphabet, points: int, k: int, n: int) -> tuple:
+    """The symbols (points x k) and unit noise (points x n) of one trial:
+    per SNR point the draws of random_symbols(rng, alphabet, k), then of
+    rng.standard_normal(n), in that order, written into one index block and
+    one noise block; the symbols are looked up once."""
+    idx = np.empty((points, k), dtype=np.int64)
+    noise = np.empty((points, n))
+    for idx_row, noise_row in zip(idx, noise):
+        idx_row[:] = rng.integers(0, alphabet.sqrt_m, size=k)
+        rng.standard_normal(out=noise_row)
+    return alphabet.points[idx].astype(float), noise
 
 
 def _worker_count(cfg: SimConfig) -> int:

@@ -2,12 +2,13 @@
 
 import copy
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mzf
-from mzf import intsearch
+from mzf import detect, intsearch
 from mzf.alphabet import make_alphabet, random_symbols, symbol_to_bits
 from mzf.channel import (
     embed_complex,
@@ -28,7 +29,8 @@ from mzf.detect import (
     optimize_alpha,
 )
 from mzf.metrics import detector_gains, snr_to_n0
-from util_exact import ml_grid
+from mzf.rowwise import apply
+from util_exact import box_dfs, ml_grid
 
 H_REF = np.array(
     [[-6, 0, -1, 5], [-3, -2, -1, 1], [1, -5, -6, 0], [1, -1, -3, -2]], dtype=float
@@ -460,6 +462,91 @@ class TestML:
             MLDetector(modulation=16).fit(np.array([[1.0, 0.0], [2.0, 0.0]]))
 
 
+def dfs_decisions(det, y):
+    """det's decisions on every row of y by the boxed depth-first search."""
+    q, r = det.qr_
+    sqrt_m = det.alphabet_.sqrt_m
+    u = np.array([box_dfs(v, r, sqrt_m) for v in apply(q.T, y + det.shift_)])
+    return (2 * u - (sqrt_m - 1)).astype(float).reshape(len(y), det.k_)
+
+
+def noisy_blocks(rng, kc, m, channels, per_point):
+    """(channel, block) pairs: per_point observations at each of 0, 2, ...,
+    32 dB on each of channels random kc x kc complex channels at M-QAM."""
+    alphabet = make_alphabet(m)
+    snrs = np.arange(0.0, 33.0, 2.0)
+    sigma = np.sqrt([snr_to_n0(s, alphabet).n0 / 2.0 for s in snrs])
+    sigma = np.repeat(sigma, per_point)[:, None]
+    for _ in range(channels):
+        h = embed_complex(generate_channel(rng, kc))
+        x = alphabet.points[rng.integers(0, alphabet.sqrt_m, (len(sigma), 2 * kc))]
+        yield h, x @ h.T + sigma * rng.standard_normal((len(sigma), 2 * kc))
+
+
+# ties between +-1 on every layer, and every distance underflowing to 0
+TIE_CASES = [
+    (16, 1.0, [0.0, 0.0, 0.0]),
+    (16, 1.0, [2.0, 0.0, -2.0]),
+    (64, 1e-300, [0.0, 0.0, 0.0]),
+]
+
+
+class TestBoxSearch:
+    """The block search against the depth-first search it replaced."""
+
+    @pytest.mark.parametrize("kc", [2, 3, 4])
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    def test_equals_the_boxed_dfs(self, kc, m):
+        # 2,040 observations: 8 channels x 17 SNR points x 15
+        checked = 0
+        for h, y in noisy_blocks(np.random.default_rng([40, kc, m]), kc, m, 8, 15):
+            det = MLDetector(m).fit(h)
+            assert np.array_equal(det.predict(y), dfs_decisions(det, y))
+            checked += len(y)
+        assert checked >= 2000
+
+    @pytest.mark.parametrize("m,scale,y", TIE_CASES)
+    def test_ties_in_one_block(self, m, scale, y):
+        # the tie cases stacked with their negatives and a clean row
+        h = scale * np.eye(3)
+        block = np.array([y, [-v for v in y], [scale, -scale, scale]])
+        det = MLDetector(m).fit(h)
+        assert np.array_equal(det.predict(block), dfs_decisions(det, block))
+        assert np.array_equal(det.predict(block), ml_grid(h, block, make_alphabet(m)))
+
+    @pytest.mark.parametrize("block_nodes", [1, 5, 64])
+    def test_split_blocks_decide_the_same(self, monkeypatch, block_nodes):
+        # blocks of a few nodes split every frontier, so each row's leaves
+        # come in many blocks and ties meet across them
+        cases = [(h, y, m) for m in (4, 16, 64)
+                 for h, y in noisy_blocks(np.random.default_rng([41, m]), 3, m, 2, 2)]
+        cases += [(scale * np.eye(3), np.array([y]), m) for m, scale, y in TIE_CASES]
+        want = [MLDetector(m).fit(h).predict(y) for h, y, m in cases]
+        monkeypatch.setattr(detect, "ML_BLOCK_NODES", block_nodes)
+        for (h, y, m), w in zip(cases, want):
+            det = MLDetector(m).fit(h)
+            got = det.predict(y)
+            assert np.array_equal(got, w)
+            assert np.array_equal(got, dfs_decisions(det, y))
+
+    def test_frontier_stays_within_its_bound(self):
+        # every distance underflows to 0, so no node is ever pruned: 8**6 =
+        # 262,144 leaves, 29 MB as one frontier
+        k = 6
+        det = MLDetector(64).fit(1e-300 * np.eye(k))
+        q, r = det.qr_
+        v = apply(q.T, np.zeros((1, k)) + det.shift_)
+        bound = k * detect.ML_BLOCK_NODES * (2 * k + 2) * 8
+        tracemalloc.start()
+        try:
+            u = detect._box_search(v, r, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert u.tolist() == [[0] * k]
+        assert peak <= bound
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 class TestExtremeScaleChannels:
     """Finite channels whose lattice basis squares out of floating point."""
@@ -868,6 +955,15 @@ class TestFitMemo:
         for variant in ("plain", "bitwise", "feedback"):
             MZFDetector(16, variant).fit(h)
         assert calls == {"_se_enumerate": 12}
+
+    def test_fit_does_not_recheck_its_own_reduction(self, monkeypatch):
+        # _check_cache guards the public solve_sd and solve_lll; a fit
+        # searches on the reduction it has just made from the same basis
+        calls = count_calls(monkeypatch, intsearch, ("_check_cache",))
+        h = generate_real_channel(np.random.default_rng(33), 6)
+        for solver in ("sd", "lll"):
+            MZFDetector(16, solver=solver).fit(h)
+        assert calls == {"_check_cache": 0}
 
     def test_warm_memo_fits_byte_identical(self, monkeypatch):
         # every pinned configuration, fitted once on an empty memo and once

@@ -17,6 +17,7 @@ from mzf.simulate import (
     CSV_COLUMNS,
     SimConfig,
     SimRecord,
+    _draw,
     emit,
     parse_detector_spec,
     run_experiment,
@@ -386,6 +387,25 @@ class TestGainExperiment:
         lines = path.read_text().splitlines()
         assert lines[0] == "trial,layer,gain_db"
         assert len(lines) == 1 + 3 * 2 * BASE.kc
+
+
+class TestDraws:
+    @pytest.mark.parametrize("m,k,n", [(4, 4, 4), (16, 6, 6), (64, 4, 8)])
+    def test_block_draws_equal_the_point_by_point_draws(self, m, k, n):
+        # per point random_symbols, then standard_normal, on 200 trial
+        # streams; the stream must also end in the same place
+        alphabet = make_alphabet(m)
+        for seed in range(200):
+            rng, ref = np.random.default_rng([seed, 7]), np.random.default_rng([seed, 7])
+            x, noise = _draw(rng, alphabet, 17, k, n)
+            want_x = np.empty((17, k))
+            want_noise = np.empty((17, n))
+            for s in range(17):
+                want_x[s] = random_symbols(ref, alphabet, k)
+                want_noise[s] = ref.standard_normal(n)
+            assert (x.dtype, x.tobytes()) == (want_x.dtype, want_x.tobytes())
+            assert noise.tobytes() == want_noise.tobytes()
+            assert rng.random() == ref.random()
 
 
 class TestPairing:
