@@ -1,21 +1,21 @@
 """Process time of MLDetector.predict: the block search against the
 depth-first search it replaced, per (kc, M).
 
-    python3 scripts/ml_search_table.py [--channels 200] [--seed 0]
+    python3 scripts/ml_search_table.py
 
-For each kc in 2, 3, 4 and M in 4, 16, 64 the script draws random kc x kc
-complex channels and, on each, one block of 17 observations, one at each of
-0, 2, ..., 32 dB (the number of points of the ber_sweep benchmark workload),
-and one block of a single observation at 16 dB.  Each block is detected by
-the block search and by the boxed depth-first search of tests/util_exact.py
-run row by row through the same predict call; the two sides alternate, and
-each takes its least process time over three calls.  The decisions must be
-equal.  One JSON object is printed: per (kc, M, rows), the summed process
-time in microseconds per block of each side and their ratio.  BLAS is pinned
-to one thread.
+For each kc in 2, 3, 4 and M in 4, 16, 64 the script draws CHANNELS random
+kc x kc complex channels from default_rng([SEED, kc, M]) and, on each, one
+block of 17 observations, one at each of 0, 2, ..., 32 dB (the number of
+points of the ber_sweep benchmark workload), and one block of a single
+observation at 16 dB.  Each block is detected by the block search and by
+the boxed depth-first search of tests/util_exact.py run row by row through
+the same predict call; the two sides alternate, and each takes its least
+process time over three calls.  The decisions must be equal.  One JSON
+object is printed: per (kc, M, rows), each side's mean over the channels of
+that least time, in microseconds per block, and their ratio.  BLAS is
+pinned to one thread.
 """
 
-import argparse
 import json
 import os
 import sys
@@ -36,6 +36,8 @@ from mzf.channel import embed_complex, generate_channel  # noqa: E402
 from mzf.metrics import snr_to_n0  # noqa: E402
 from util_exact import box_dfs  # noqa: E402
 
+CHANNELS = 200
+SEED = 0
 SNR_DB = np.arange(0.0, 33.0, 2.0)
 REPEATS = 3
 
@@ -58,19 +60,15 @@ def least_time(det, y, search):
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--channels", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
     block_search = detect._box_search
     rows = []
     for kc in (2, 3, 4):
         for m in (4, 16, 64):
             alphabet = make_alphabet(m)
             sigma = np.sqrt([snr_to_n0(s, alphabet).n0 / 2.0 for s in SNR_DB])[:, None]
-            rng = np.random.default_rng([args.seed, kc, m])
+            rng = np.random.default_rng([SEED, kc, m])
             totals = {17: [0.0, 0.0], 1: [0.0, 0.0]}
-            for c in range(args.channels):
+            for c in range(CHANNELS):
                 h = embed_complex(generate_channel(rng, kc))
                 x = alphabet.points[rng.integers(0, alphabet.sqrt_m, (len(SNR_DB), 2 * kc))]
                 y = x @ h.T + sigma * rng.standard_normal(x.shape)
@@ -90,12 +88,12 @@ def main() -> None:
                     "kc": kc,
                     "M": m,
                     "rows": n_obs,
-                    "dfs_us": round(t_dfs / args.channels * 1e6, 1),
-                    "block_us": round(t_block / args.channels * 1e6, 1),
+                    "dfs_us": round(t_dfs / CHANNELS * 1e6, 1),
+                    "block_us": round(t_block / CHANNELS * 1e6, 1),
                     "speedup": round(t_dfs / t_block, 3),
                 })
     detect._box_search = block_search
-    print(json.dumps({"channels": args.channels, "seed": args.seed, "table": rows}, indent=1))
+    print(json.dumps({"channels": CHANNELS, "seed": SEED, "table": rows}, indent=1))
 
 
 if __name__ == "__main__":
