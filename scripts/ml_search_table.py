@@ -1,19 +1,20 @@
-"""Process time of MLDetector.predict: the block search against the
-depth-first search it replaced, per (kc, M).
+"""Process time of MLDetector.predict: the block search against the per-row
+depth-first search, per (kc, M) and block size.
 
     python3 scripts/ml_search_table.py
 
 For each kc in 2, 3, 4 and M in 4, 16, 64 the script draws CHANNELS random
 kc x kc complex channels from default_rng([SEED, kc, M]) and, on each, one
-block of 17 observations, one at each of 0, 2, ..., 32 dB (the number of
-points of the ber_sweep benchmark workload), and one block of a single
-observation at 16 dB.  Each block is detected by the block search and by
-the boxed depth-first search of tests/util_exact.py run row by row through
-the same predict call; the two sides alternate, and each takes its least
-process time over three calls.  The decisions must be equal.  One JSON
-object is printed: per (kc, M, rows), each side's mean over the channels of
-that least time, in microseconds per block, and their ratio.  BLAS is
-pinned to one thread.
+observation at each of 0, 2, ..., 32 dB (the 17 points of the ber_sweep
+benchmark workload).  A block of n rows takes n of these points spread
+evenly over the grid (16 dB alone for n = 1).  Each block is detected
+through predict with every row searched depth first (ML_BLOCK_ROWS above
+n) and with the block search (ML_BLOCK_ROWS = 0); the two sides alternate,
+and each takes its least process time over three calls.  The decisions
+must be equal.  One JSON object is printed: per (kc, M, rows), each side's
+mean over the channels of that least time in microseconds per block, the
+search predict picks at the committed ML_BLOCK_ROWS, and the depth-first
+time over the picked search's time.  BLAS is pinned to one thread.
 """
 
 import json
@@ -25,8 +26,7 @@ from pathlib import Path
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
@@ -34,23 +34,19 @@ from mzf import detect  # noqa: E402
 from mzf.alphabet import make_alphabet  # noqa: E402
 from mzf.channel import embed_complex, generate_channel  # noqa: E402
 from mzf.metrics import snr_to_n0  # noqa: E402
-from util_exact import box_dfs  # noqa: E402
 
 CHANNELS = 200
 SEED = 0
 SNR_DB = np.arange(0.0, 33.0, 2.0)
 REPEATS = 3
+CHOSEN = detect.ML_BLOCK_ROWS
+ROWS = sorted({1, 2, 4, 8, CHOSEN - 1, CHOSEN, len(SNR_DB)})
 
 
-def dfs_search(v, r, sqrt_m):
-    """The depth-first search on every row, shaped like _box_search's result."""
-    return np.array([box_dfs(row, r, sqrt_m) for row in v], dtype=np.int64).reshape(v.shape)
-
-
-def least_time(det, y, search):
-    """(least process time of det.predict(y) over REPEATS calls with the
-    given search, its decisions)."""
-    detect._box_search = search
+def least_time(det, y, limit):
+    """(least process time of det.predict(y) over REPEATS calls with
+    ML_BLOCK_ROWS = limit, its decisions)."""
+    detect.ML_BLOCK_ROWS = limit
     best = float("inf")
     for _ in range(REPEATS):
         t0 = time.process_time()
@@ -60,40 +56,43 @@ def least_time(det, y, search):
 
 
 def main() -> None:
-    block_search = detect._box_search
-    rows = []
+    table = []
     for kc in (2, 3, 4):
         for m in (4, 16, 64):
             alphabet = make_alphabet(m)
             sigma = np.sqrt([snr_to_n0(s, alphabet).n0 / 2.0 for s in SNR_DB])[:, None]
             rng = np.random.default_rng([SEED, kc, m])
-            totals = {17: [0.0, 0.0], 1: [0.0, 0.0]}
+            totals = {n: [0.0, 0.0] for n in ROWS}
             for c in range(CHANNELS):
                 h = embed_complex(generate_channel(rng, kc))
                 x = alphabet.points[rng.integers(0, alphabet.sqrt_m, (len(SNR_DB), 2 * kc))]
                 y = x @ h.T + sigma * rng.standard_normal(x.shape)
                 det = detect.MLDetector(m).fit(h)
-                for block in (y, y[SNR_DB == 16.0]):
-                    sides = [(0, block_search), (1, dfs_search)]
+                for n in ROWS:
+                    block = y[np.round((np.arange(n) + 0.5) * len(y) / n - 0.5).astype(int)]
+                    sides = [(0, n + 1), (1, 0)]  # (side, ML_BLOCK_ROWS): dfs, block
                     if c % 2:
                         sides.reverse()
                     got = {}
-                    for i, search in sides:
-                        t, got[i] = least_time(det, block, search)
-                        totals[len(block)][i] += t
+                    for side, limit in sides:
+                        t, got[side] = least_time(det, block, limit)
+                        totals[n][side] += t
                     if not np.array_equal(got[0], got[1]):
                         raise SystemExit(f"decisions differ at kc={kc} M={m} channel {c}")
-            for n_obs, (t_block, t_dfs) in totals.items():
-                rows.append({
+            for n, (t_dfs, t_block) in totals.items():
+                search = "block" if n >= CHOSEN else "dfs"
+                table.append({
                     "kc": kc,
                     "M": m,
-                    "rows": n_obs,
+                    "rows": n,
                     "dfs_us": round(t_dfs / CHANNELS * 1e6, 1),
                     "block_us": round(t_block / CHANNELS * 1e6, 1),
-                    "speedup": round(t_dfs / t_block, 3),
+                    "search": search,
+                    "speedup": round(t_dfs / (t_block if search == "block" else t_dfs), 3),
                 })
-    detect._box_search = block_search
-    print(json.dumps({"channels": CHANNELS, "seed": SEED, "table": rows}, indent=1))
+    detect.ML_BLOCK_ROWS = CHOSEN
+    print(json.dumps({"channels": CHANNELS, "seed": SEED, "ml_block_rows": CHOSEN,
+                      "table": table}, indent=1))
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from .intsearch import (
     _qr_positive,
     _reduce,
     _solve_sd_rows,
+    _triangle,
     check_count,
     check_lll_delta,
     lll_reduce,
@@ -234,9 +235,11 @@ class MLDetector(MimoDetector):
 
     With x = 2u - (sqrt(M) - 1), ||y - Hx|| = ||y + shift - 2Hu|| for the
     shift (sqrt(M) - 1) H 1, so fit keeps the positive-diagonal QR of 2H and
-    the shift, and a block of observations is one breadth-first search over
-    u in {0..sqrt(M)-1}^K (_box_search).  Exactly tied distances resolve to
-    the lexicographically smallest symbol vector.  layer_z is the noiseless
+    the shift, and the decision minimizes over u in {0..sqrt(M)-1}^K: a
+    block of at least ML_BLOCK_ROWS observations in one breadth-first search
+    (_box_search), a smaller one row by row depth first (_box_dfs).  Both
+    give the same bytes.  Exactly tied distances resolve to the
+    lexicographically smallest symbol vector.  layer_z is the noiseless
     image H x of the decision.
     """
 
@@ -251,10 +254,23 @@ class MLDetector(MimoDetector):
     def _block(self, y):
         q, r = self.qr_
         sqrt_m = self.alphabet_.sqrt_m
-        u = _box_search(apply(q.T, y + self.shift_), r, sqrt_m)
+        v = apply(q.T, y + self.shift_)
+        if len(v) < ML_BLOCK_ROWS:
+            cols, diag = _triangle(r)
+            u = np.array([_box_dfs(row, cols, diag, sqrt_m - 1) for row in v], dtype=np.int64)
+            u = u.reshape(v.shape)
+        else:
+            u = _box_search(v, r, sqrt_m)
         symbols = (2 * u - (sqrt_m - 1)).astype(float)
         return symbols, None, apply(self.h_, symbols)
 
+
+# blocks of fewer observations are searched row by row depth first: the
+# block search pays a fixed numpy cost per level whatever the block's size,
+# and breaks even with the rows' depth-first searches at 11-12 rows for
+# kc = 2 with M = 4, the latest of kc 2-4 and M 4/16/64
+# (scripts/ml_search_table.py)
+ML_BLOCK_ROWS = 12
 
 # children one expansion of _box_search scores at most (sqrt(M) where that
 # is more).  A node holds its observation index and symbols, its partial
@@ -287,7 +303,6 @@ def _box_search(v, r, sqrt_m):
     diag = np.diag(r)
     dm = diag[:, None] * values     # dm[k, m] = R[k, k] * m
     mr = values[:, None, None] * r  # mr[m, :k, k] = m * R[:k, k]
-    bits = sqrt_m.bit_length() - 1  # sqrt_m is a power of two
 
     # the radius, on the transposed targets so that each level reads a row
     p = v.T.copy()
@@ -307,7 +322,7 @@ def _box_search(v, r, sqrt_m):
     tag[:, 0] = np.arange(n)
     best, best_tag = np.full(n, np.inf), tag.copy()
     found = False
-    per_block = max(ML_BLOCK_NODES >> bits, 1)
+    per_block = max(ML_BLOCK_NODES // sqrt_m, 1)
     stack = [(K - 1, tag, v, np.zeros(n))]
     while stack:
         k, tag, p, dist = stack.pop()
@@ -317,9 +332,9 @@ def _box_search(v, r, sqrt_m):
         nd = p[:, k, None] - dm[k]
         nd *= nd
         nd += dist[:, None]
-        keep = (nd <= radius.take(tag[:, 0])[:, None]).ravel().nonzero()[0]
-        parent, child = keep >> bits, keep & (sqrt_m - 1)
-        tag, nd = tag.take(parent, axis=0), nd.take(keep)
+        keep = nd <= radius.take(tag[:, 0])[:, None]
+        parent, child = keep.nonzero()
+        tag, nd = tag.take(parent, axis=0), nd[keep]
         tag[:, k + 1] = child
         if k:
             p = p[:, :k].take(parent, axis=0) - mr[:, :k, k].take(child, axis=0)
@@ -328,28 +343,94 @@ def _box_search(v, r, sqrt_m):
         tag, nd = _least(tag, nd)
         rows = tag[:, 0]
         if found:
-            # against the best leaves of the earlier blocks; a row without
+            # against the best leaves of the earlier blocks, each row's old
+            # leaf beside its new one so the rows stay sorted; a row without
             # one holds (inf, zeros), which only ties where every leaf costs
-            # inf, and then the zeros leaf wins anyway
-            tag = np.concatenate([best_tag[rows], tag])
-            tag, nd = _least(tag, np.concatenate([best[rows], nd]))
+            # inf, and then the zeros leaf wins anyway.  Merging the first
+            # block with those placeholders too would give the same leaves,
+            # but costs ~13% of a 17-row kc=3 16-QAM search.
+            tag = np.stack([best_tag[rows], tag], axis=1).reshape(-1, K + 1)
+            tag, nd = _least(tag, np.stack([best[rows], nd], axis=1).ravel())
         best[rows] = radius[rows] = nd
         best_tag[rows] = tag
         found = True
     return best_tag[:, 1:]
 
 
+def _box_dfs(v, cols, diag, hi):
+    """argmin over u in {0..hi}^K of ||v - R u||^2 for one observation v, on
+    the triangle R given as its columns above the diagonal and its diagonal
+    (intsearch._triangle); of exactly tied distances the lexicographically
+    smallest u.  Returns u as a list.
+
+    The Schnorr-Euchner enumeration of intsearch._se_enumerate, boxed: each
+    level starts at its clipped rounding and skips the values past either
+    end of its zig-zag, and subtrees that tie the best distance are searched
+    too.
+    """
+    K = len(v)
+    best_cost = math.inf
+    best_u = [0] * K
+    m = [0] * K
+    step = [0] * K
+    dist = [0.0] * (K + 1)
+    partial = [None] * K
+    k = K - 1
+    partial[k] = v.tolist()
+    center = partial[k][k] / diag[k]
+    m[k] = min(max(round(center), 0), hi)
+    step[k] = 1 if center >= m[k] else -1
+    while True:
+        d = partial[k][k] - diag[k] * m[k]
+        nd = dist[k + 1] + d * d
+        if nd <= best_cost:
+            if k:
+                dist[k] = nd
+                m_k = float(m[k])  # exact, and float * float is the fast path
+                partial[k - 1] = [p - m_k * r for p, r in zip(partial[k], cols[k])]
+                k -= 1
+                center = partial[k][k] / diag[k]
+                m[k] = min(max(round(center), 0), hi)
+                step[k] = 1 if center >= m[k] else -1
+                continue
+            if nd < best_cost or m < best_u:
+                best_cost = nd
+                best_u = m.copy()
+        elif k == K - 1:
+            break
+        else:
+            k += 1
+        # the next sibling on level k in zig-zag order; a level whose next
+        # two values both lie outside the box is spent, so climb
+        while True:
+            m[k] += step[k]
+            step[k] = -step[k] - (1 if step[k] > 0 else -1)
+            if 0 <= m[k] <= hi:
+                break
+            if not 0 <= m[k] + step[k] <= hi:
+                k += 1
+                if k == K:
+                    break
+        if k == K:
+            break
+    return best_u
+
+
 def _least(tag, dist):
     """(tags, distances) of the least distance, then the least symbols, of
-    every row among the leaves tag, sorted by row."""
+    every row among the leaves tag, which come sorted by row; sorted by row."""
     rows = tag[:, 0]
-    if (rows[1:] > rows[:-1]).all():  # already one leaf per row, sorted
-        return tag, dist
-    order = np.lexsort((*tag[:, :0:-1].T, dist, rows))
-    tag = tag.take(order, axis=0)
     first = np.ones(len(tag), dtype=bool)
-    np.not_equal(tag[1:, 0], tag[:-1, 0], out=first[1:])
-    return tag[first], dist.take(order[first])
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    if first.all():  # already one leaf per row
+        return tag, dist
+    low = np.minimum.reduceat(dist, first.nonzero()[0])
+    least = dist == low.take(first.cumsum() - 1)
+    tag = tag[least]
+    if len(tag) > len(low):  # tied distances: the least symbols
+        tag = tag.take(np.lexsort((*tag[:, :0:-1].T, tag[:, 0])), axis=0)
+        tag = tag[np.r_[True, tag[1:, 0] != tag[:-1, 0]]]
+    return tag, low
 
 
 class LARDetector(MimoDetector):

@@ -16,8 +16,8 @@ are the bytes of the array formulation (tests/test_intsearch.py pins them).
 The first Gram-Schmidt pass of lll_reduce takes each orthogonal column's
 squared norm once rather than once per coefficient, by the same dot
 product, so it too keeps its bytes.  The enumeration serves the
-even-integer searches only: exact ML detection walks its bounded symbol box
-breadth first (detect._box_search).
+even-integer searches only: exact ML detection searches its bounded symbol
+box in detect (_box_search, _box_dfs).
 
 A fit searches K targets (one per layer and stage) on one basis, so the row
 search _solve_sd_rows takes a block of targets: the warm starts and every

@@ -30,7 +30,7 @@ from mzf.detect import (
 )
 from mzf.metrics import detector_gains, snr_to_n0
 from mzf.rowwise import apply
-from util_exact import box_dfs, ml_grid
+from util_exact import ml_grid
 
 H_REF = np.array(
     [[-6, 0, -1, 5], [-3, -2, -1, 1], [1, -5, -6, 0], [1, -1, -3, -2]], dtype=float
@@ -465,9 +465,10 @@ class TestML:
 def dfs_decisions(det, y):
     """det's decisions on every row of y by the boxed depth-first search."""
     q, r = det.qr_
-    sqrt_m = det.alphabet_.sqrt_m
-    u = np.array([box_dfs(v, r, sqrt_m) for v in apply(q.T, y + det.shift_)])
-    return (2 * u - (sqrt_m - 1)).astype(float).reshape(len(y), det.k_)
+    cols, diag = intsearch._triangle(r)
+    hi = det.alphabet_.sqrt_m - 1
+    u = np.array([detect._box_dfs(v, cols, diag, hi) for v in apply(q.T, y + det.shift_)])
+    return (2 * u - hi).astype(float).reshape(len(y), det.k_)
 
 
 def noisy_blocks(rng, kc, m, channels, per_point):
@@ -492,7 +493,12 @@ TIE_CASES = [
 
 
 class TestBoxSearch:
-    """The block search against the depth-first search it replaced."""
+    """The block search against the per-row depth-first search; predict
+    takes the block search for every block here."""
+
+    @pytest.fixture(autouse=True)
+    def block_search_always(self, monkeypatch):
+        monkeypatch.setattr(detect, "ML_BLOCK_ROWS", 0)
 
     @pytest.mark.parametrize("kc", [2, 3, 4])
     @pytest.mark.parametrize("m", [4, 16, 64])
@@ -545,6 +551,47 @@ class TestBoxSearch:
             tracemalloc.stop()
         assert u.tolist() == [[0] * k]
         assert peak <= bound
+
+
+class TestSearchChoice:
+    """Blocks of fewer than ML_BLOCK_ROWS observations are searched row by
+    row depth first, larger ones by the block search."""
+
+    def test_block_size_picks_the_search(self, monkeypatch):
+        calls = count_calls(monkeypatch, detect, ["_box_search", "_box_dfs"])
+        h, y = next(noisy_blocks(np.random.default_rng(42), 3, 16, 1, 2))
+        det = MLDetector(16).fit(h)
+        det.predict(y[: detect.ML_BLOCK_ROWS - 1])
+        assert calls == {"_box_search": 0, "_box_dfs": detect.ML_BLOCK_ROWS - 1}
+        det.predict(y[: detect.ML_BLOCK_ROWS])
+        assert calls == {"_box_search": 1, "_box_dfs": detect.ML_BLOCK_ROWS - 1}
+
+    def test_single_rows_take_the_dfs(self, monkeypatch):
+        calls = count_calls(monkeypatch, detect, ["_box_search", "_box_dfs"])
+        h, y = next(noisy_blocks(np.random.default_rng(43), 2, 4, 1, 1))
+        det = MLDetector(4).fit(h)
+        det.detect(y[0])
+        det.predict(y[1])
+        assert calls == {"_box_search": 0, "_box_dfs": 2}
+
+    @pytest.mark.parametrize("kc,m", [(2, 4), (2, 16), (2, 64), (3, 4), (3, 16)])
+    def test_dfs_rows_equal_the_grid_oracle(self, kc, m):
+        # blocks of 2 and 1 observations, 17 per channel at 0-32 dB
+        for h, y in noisy_blocks(np.random.default_rng([44, kc, m]), kc, m, 4, 1):
+            det = MLDetector(m).fit(h)
+            got = np.concatenate([det.predict(y[i:i + 2]) for i in range(0, len(y), 2)])
+            assert np.array_equal(got, ml_grid(h, y, make_alphabet(m)))
+
+    def test_both_searches_equal_on_every_block_size(self, monkeypatch):
+        h, y = next(noisy_blocks(np.random.default_rng(45), 3, 64, 1, 2))
+        det = MLDetector(64).fit(h)
+        for rows in range(1, len(y) + 1):
+            # every row depth first, then the block search
+            got = []
+            for limit in (rows + 1, 0):
+                monkeypatch.setattr(detect, "ML_BLOCK_ROWS", limit)
+                got.append(det.predict(y[:rows]))
+            assert np.array_equal(got[0], got[1])
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])

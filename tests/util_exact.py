@@ -1,8 +1,5 @@
 """Exact helpers shared by tests: integer determinants, the exhaustive
-ML oracle, the boxed depth-first ML search and the per-pair Gram-Schmidt
-oracle."""
-
-import math
+ML oracle and the per-pair Gram-Schmidt oracle."""
 
 import numpy as np
 
@@ -42,65 +39,6 @@ def ml_grid(h, y, alphabet):
         resid = images - row
         out[i] = grid[np.argmin(np.einsum("ij,ij->i", resid, resid))]
     return out
-
-
-def box_dfs(v, r, sqrt_m):
-    """The depth-first Schnorr-Euchner search MLDetector ran before its
-    block search, one observation at a time: argmin over u in
-    {0..sqrt_m-1}^K of ||v - R u||^2 on the upper triangle r, the
-    lexicographically smallest of exactly tied u.  Each level starts at its
-    clipped rounding, skips the values past either end of its zig-zag, and
-    descends into subtrees that tie the best distance.  Returns u as a list.
-    """
-    K = len(v)
-    cols = [r[:k, k].tolist() for k in range(K)]
-    diag = np.diag(r).tolist()
-    hi = sqrt_m - 1
-    best_cost = math.inf
-    best_u = [0] * K
-    m = [0] * K
-    step = [0] * K
-    dist = [0.0] * (K + 1)
-    partial = [None] * K
-    k = K - 1
-    partial[k] = np.asarray(v, dtype=float).tolist()
-    center = partial[k][k] / diag[k]
-    m[k] = min(max(round(center), 0), hi)
-    step[k] = 1 if center >= m[k] else -1
-    while True:
-        d = partial[k][k] - diag[k] * m[k]
-        nd = dist[k + 1] + d * d
-        if nd <= best_cost:
-            if k:
-                dist[k] = nd
-                m_k = float(m[k])
-                partial[k - 1] = [p - m_k * c for p, c in zip(partial[k], cols[k])]
-                k -= 1
-                center = partial[k][k] / diag[k]
-                m[k] = min(max(round(center), 0), hi)
-                step[k] = 1 if center >= m[k] else -1
-                continue
-            if nd < best_cost or m < best_u:
-                best_cost = nd
-                best_u = m.copy()
-        elif k == K - 1:
-            break
-        else:
-            k += 1
-        # the next sibling on level k in zig-zag order; a level whose next
-        # two values both lie outside the box is spent, so climb
-        while True:
-            m[k] += step[k]
-            step[k] = -step[k] - (1 if step[k] > 0 else -1)
-            if 0 <= m[k] <= hi:
-                break
-            if not 0 <= m[k] + step[k] <= hi:
-                k += 1
-                if k == K:
-                    break
-        if k == K:
-            break
-    return best_u
 
 
 def gram_schmidt_pairwise(basis):
