@@ -15,9 +15,11 @@ same order, and round() rounds half to even like np.round, so the outputs
 are the bytes of the array formulation (tests/test_intsearch.py pins them).
 The first Gram-Schmidt pass of lll_reduce takes each orthogonal column's
 squared norm once rather than once per coefficient, by the same dot
-product, so it too keeps its bytes.  The enumeration serves the
-even-integer searches only: exact ML detection searches its bounded symbol
-box in detect (_box_search, _box_dfs).
+product, so it too keeps its bytes.  The enumeration shares its descents'
+products across the rows of a block and scores the leaf level inline, by
+the same IEEE operations (see _se_enumerate).  It serves the even-integer
+searches only: exact ML detection searches its bounded symbol box in
+detect (_box_search, _box_dfs).
 
 A fit searches K targets (one per layer and stage) on one basis, so the row
 search _solve_sd_rows takes a block of targets: the warm starts and every
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import sub
 
 import numpy as np
 
@@ -320,9 +323,10 @@ def _search_rows(targets, B, budget, cache):
     cost[:, 1] = _cost(targets, B, q[:, 1])
 
     cols, diag = _triangle(r_mat)
+    products = [{} for _ in cols]  # shared by the rows, see _se_enumerate
     best = cost[:, :2].min(axis=1).tolist()
     found = [
-        _se_enumerate(v_i, cols, diag, best_i, c0_i, budget)
+        _se_enumerate(v_i, cols, diag, best_i, c0_i, budget, products)
         for v_i, best_i, c0_i in zip(v, best, c0.tolist())
     ]
     w, nodes, exact = zip(*found)
@@ -361,13 +365,18 @@ def _triangle(r):
     return [r[:k, k].tolist() for k in range(r.shape[1])], np.diag(r).tolist()
 
 
-def _se_enumerate(v, cols, diag, best_cost, c0, budget):
+def _se_enumerate(v, cols, diag, best_cost, c0, budget, products):
     """Depth-first enumeration core on the triangle R given as its columns
     above the diagonal and its diagonal; returns (best coeffs, nodes,
     exact), the coeffs all zero when no point beats best_cost.
 
     partial[i] is v minus the contributions of levels > i; only its first
-    i + 1 entries are ever read, so a descent to level k - 1 builds just k.
+    i + 1 entries are ever read, so a descent to level k - 1 builds just k,
+    subtracting products[k][m[k]], the row m[k] * cols[k] that the rows of
+    a block share and build on first use.  Level 0 is scored inline: its
+    siblings in zig-zag order until the first that fails, each one node.
+    The products and differences are a per-descent rebuild's, so the
+    coeffs, nodes and exact flag are too.
     """
     K = v.size
     best_w = [0] * K
@@ -390,17 +399,38 @@ def _se_enumerate(v, cols, diag, best_cost, c0, budget):
         d = partial[k][k] - diag[k] * m[k]
         nd = dist[k + 1] + d * d
         if nd + c0 < best_cost:
-            if k:
+            if k > 1:
                 dist[k] = nd
-                m_k = float(m[k])  # exact, and float * float is the fast path
-                partial[k - 1] = [p - m_k * r for p, r in zip(partial[k], cols[k])]
+                row = products[k].get(m[k])
+                if row is None:  # float(m[k]) is exact, float * float fast
+                    row = products[k][m[k]] = [float(m[k]) * r for r in cols[k]]
+                partial[k - 1] = list(map(sub, partial[k], row))
                 k -= 1
                 center = partial[k][k] / diag[k]
                 m[k] = round(center)
                 step[k] = 1 if center >= m[k] else -1
                 continue
-            best_cost = nd + c0
-            best_w = m.copy()
+            if k:  # the leaf level, inline
+                p = partial[1][0] - float(m[1]) * cols[1][0]
+                center = p / diag[0]
+                m0 = round(center)
+                s = 1 if center >= m0 else -1
+                while (nodes := nodes + 1) <= budget:
+                    d = p - diag[0] * m0
+                    leaf = nd + d * d + c0
+                    if not leaf < best_cost:
+                        break
+                    best_cost = leaf
+                    m[0] = m0
+                    best_w = m.copy()
+                    m0 += s
+                    s = -s - (1 if s > 0 else -1)
+                else:  # the budget ran out on a leaf: end the search
+                    exact = False
+                    break
+            else:  # K = 1: the top level is the leaf
+                best_cost = nd + c0
+                best_w = m.copy()
         elif k == K - 1:
             break
         else:

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from util_exact import gram_schmidt_pairwise, int_det
+from util_exact import gram_schmidt_pairwise, int_det, se_enumerate_reference
 
 from mzf import intsearch
 from mzf.alphabet import make_alphabet
@@ -179,6 +179,48 @@ class TestSearchPinned:
         # best point at the cut are pinned as well
         want = "1102e139aa1ec29d6a7de0262bae8b6f0ea52833e7d35036e6f32cc6ce6c8bba"
         assert search_digest(16, 1.0, 2, budget=50) == want
+
+
+def random_triangle(rng, k):
+    """The columns above the diagonal and the diagonal of a random k x k
+    upper triangle with diagonal in [1, 3] and entries above it in
+    [-1.5, 1.5], as intsearch._triangle gives them."""
+    r = np.triu(rng.uniform(-1.5, 1.5, (k, k)), 1) + np.diag(rng.uniform(1.0, 3.0, k))
+    return intsearch._triangle(r)
+
+
+class TestEnumerationKernel:
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_matches_the_reference(self, k):
+        # several targets and budgets on one triangle share one table set,
+        # visited in shuffled order; budgets 1-7 run out inside the leaf
+        # loop for small k, and the start radii range from none to tight
+        rng = np.random.default_rng([41, k])
+        cols, diag = random_triangle(rng, k)
+        products = [{} for _ in cols]
+        cases = []
+        for _ in range(4):
+            v = rng.normal(0.0, rng.choice([0.5, 2.0, 8.0]), k)
+            c0 = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+            for start in (np.inf, float(v @ v) + c0, 0.3 * float(v @ v) + c0):
+                cases += [(v, start, c0, budget) for budget in (1, 2, 3, 7, 10**6)]
+        for i in rng.permutation(len(cases)):
+            v, start, c0, budget = cases[i]
+            got = intsearch._se_enumerate(v, cols, diag, start, c0, budget, products)
+            assert got == se_enumerate_reference(v, cols, diag, start, c0, budget)
+
+    def test_near_tied_leaves(self):
+        # level-0 centres a rounding error from a half integer: in some the
+        # second sibling in zig-zag order is strictly closer than the first
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            cols, diag = random_triangle(rng, 3)
+            cols[1][0] = 0.0  # so partial[0][0] = v[0]
+            p = (rng.integers(-5, 6) + 0.5) * diag[0]
+            v = np.array([p + rng.choice([-1, 0, 1]) * abs(p) * 2.0**-52, 0.0, 0.0])
+            want = se_enumerate_reference(v, cols, diag, np.inf, 0.0, 10**6)
+            got = intsearch._se_enumerate(v, cols, diag, np.inf, 0.0, 10**6, [{} for _ in cols])
+            assert got == want
 
 
 def stacked_layers(k):

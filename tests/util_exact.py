@@ -1,5 +1,6 @@
 """Exact helpers shared by tests: integer determinants, the exhaustive
-ML oracle and the per-pair Gram-Schmidt oracle."""
+ML oracle, the per-pair Gram-Schmidt oracle and the reference sphere
+enumeration."""
 
 import numpy as np
 
@@ -55,3 +56,49 @@ def gram_schmidt_pairwise(basis):
             v -= mu[i, j] * ortho[:, j]
         ortho[:, i] = v
     return np.sum(ortho**2, axis=0), mu
+
+
+def se_enumerate_reference(v, cols, diag, best_cost, c0, budget):
+    """The depth-first Schnorr-Euchner enumeration that rebuilds every
+    descent's partial sums anew and takes the leaf level round the main
+    loop; the reference whose (best coeffs, nodes, exact) intsearch's
+    _se_enumerate must return."""
+    K = v.size
+    best_w = [0] * K
+    m = [0] * K
+    step = [0] * K
+    dist = [0.0] * (K + 1)
+    partial = [None] * K
+    nodes = 0
+    k = K - 1
+    partial[k] = v.tolist()
+    center = partial[k][k] / diag[k]
+    m[k] = round(center)
+    step[k] = 1 if center >= m[k] else -1
+    exact = True
+    while True:
+        nodes += 1
+        if nodes > budget:
+            exact = False
+            break
+        d = partial[k][k] - diag[k] * m[k]
+        nd = dist[k + 1] + d * d
+        if nd + c0 < best_cost:
+            if k:
+                dist[k] = nd
+                m_k = float(m[k])
+                partial[k - 1] = [p - m_k * r for p, r in zip(partial[k], cols[k])]
+                k -= 1
+                center = partial[k][k] / diag[k]
+                m[k] = round(center)
+                step[k] = 1 if center >= m[k] else -1
+                continue
+            best_cost = nd + c0
+            best_w = m.copy()
+        elif k == K - 1:
+            break
+        else:
+            k += 1
+        m[k] += step[k]
+        step[k] = -step[k] - (1 if step[k] > 0 else -1)
+    return best_w, nodes, exact
