@@ -44,7 +44,7 @@ from .intsearch import (
     check_lll_delta,
     lll_reduce,
 )
-from .modarith import ParityContext, branch_parity, mod_recover_each
+from .modarith import ParityContext, branch_parity, mod_recover
 from .rowwise import apply, dots, times
 
 MZF_VARIANTS = ("plain", "scaled-alpha", "bitwise", "feedback")
@@ -663,5 +663,5 @@ class MZFDetector(MimoDetector):
         else:
             flip = branch_parity(ParityContext(0, n, self.alphabet_.nbits))
             odd = self.parity_[s] ^ flip
-        return np.where(bypass, r, mod_recover_each(r, self.alpha_[s], odd))
+        return np.where(bypass, r, mod_recover(r, self.alpha_[s], odd))
 

@@ -1,16 +1,19 @@
-"""Post-processing SNR gains and Monte Carlo error accounting."""
+"""Post-processing SNR gains and Monte Carlo error accounting.
+
+detector_gains reads the per-layer gains off a fitted modulus detector;
+BerAccumulator is the harness's one count of errors and gains per
+(detector, SNR point) cell, which run_experiment merges over workers.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .alphabet import PamAlphabet
 from .channel import NoiseSpec
-from .detect import DetectionResult
 from .rowwise import dots
 
 
@@ -55,90 +58,82 @@ def snr_to_n0(snr_db: float, alphabet: PamAlphabet) -> NoiseSpec:
     return NoiseSpec(2.0 * alphabet.energy / 10.0 ** (snr_db / 10.0))
 
 
-@dataclass
 class BerAccumulator:
-    """Mergeable error counters for one (detector, SNR point) cell.
+    """Exact, mergeable Monte Carlo counts over (detector, SNR point) cells.
 
-    Counts are exact integers, so merging is associative and commutative.
-    Gain contributions are kept per trial and reduced in trial order with an
-    exactly-rounded sum, so the reported mean does not depend on how trials
-    were split across workers.
+    Symbol and bit errors are integer arrays, bit errors per bit layer on a
+    trailing axis, so merging worker parts is associative and commutative.
+    Each cell keeps every trial's exactly rounded gain sum, and the mean
+    gain is their fsum over their count, so it does not depend on how the
+    trials were split either.  wall_ns (detection time per cell) and
+    exhausted (sphere searches that hit their node budget) are tallied
+    alongside and merged the same way.
     """
 
-    k: int
-    nbits: int
-    trials: int = 0
-    symbol_errors: int = 0
-    symbols_counted: int = 0
-    bit_errors: np.ndarray = field(default=None)
-    bits_counted: np.ndarray = field(default=None)
-    gain_entries: list = field(default_factory=list)  # (trial, sum, count)
+    def __init__(self, detectors: int, points: int, k: int, nbits: int):
+        self.k = k
+        self.trials = 0
+        self.exhausted = 0
+        cells = (detectors, points)
+        self.symbol_errors = np.zeros(cells, dtype=np.int64)
+        self.bit_errors = np.zeros((*cells, nbits), dtype=np.int64)
+        self.gain_counts = np.zeros(cells, dtype=np.int64)
+        self.wall_ns = np.zeros(cells, dtype=np.int64)
+        self.gain_sums = [[[] for _ in range(points)] for _ in range(detectors)]
 
-    def __post_init__(self):
-        if self.bit_errors is None:
-            self.bit_errors = np.zeros(self.nbits, dtype=np.int64)
-        if self.bits_counted is None:
-            self.bits_counted = np.zeros(self.nbits, dtype=np.int64)
+    def accumulate(self, truth_bits, bits) -> None:
+        """Count one trial: truth_bits is (points, K, nbits), bits the
+        (detectors, points, K, nbits) decisions.  The bit map is one to
+        one, so a symbol is in error exactly when one of its bits is."""
+        detectors, points, nbits = self.bit_errors.shape
+        if bits.shape != (detectors, points, self.k, nbits) or truth_bits.shape != bits.shape[1:]:
+            raise ValueError("truth and decision shapes do not match the accumulator")
+        wrong = bits != truth_bits
+        self.symbol_errors += np.sum(wrong.any(axis=-1), axis=2)
+        self.bit_errors += np.sum(wrong, axis=2)
+        self.trials += 1
 
-    def accumulate(self, truth_symbols, truth_bits, result: DetectionResult) -> None:
-        truth_symbols = np.asarray(truth_symbols)
-        truth_bits = np.asarray(truth_bits)
-        if truth_symbols.shape != result.symbols.shape or truth_bits.shape != result.bits.shape:
-            raise ValueError("truth and result shapes do not match")
-        self._add(
-            1,
-            int(np.sum(truth_symbols != result.symbols)),
-            truth_symbols.size,
-            np.sum(truth_bits != result.bits, axis=0),
-            truth_bits.shape[0],
-        )
-
-    def _add(self, trials, symbol_errors, symbols_counted, bit_errors, bits_counted) -> None:
-        """The one count update: add trials, symbol errors and symbols, and
-        per-bit-layer errors and bits, to the cell."""
-        self.trials += trials
-        self.symbol_errors += symbol_errors
-        self.symbols_counted += symbols_counted
-        self.bit_errors += np.asarray(bit_errors, dtype=np.int64)
-        self.bits_counted += bits_counted
-
-    def add_gains(self, trial: int, gains: list[LayerGain]) -> None:
+    def add_gains(self, detector: int, points, gains) -> None:
+        """Add one fit's layer gains (LayerGain rows, or the tuples of
+        _gain_rows) to the cells of detector at points, a slice."""
         if gains:
-            self.gain_entries.append(
-                (trial, math.fsum(g.gain_db for g in gains), len(gains))
-            )
+            total = math.fsum(gain[3] for gain in gains)
+            for sums in self.gain_sums[detector][points]:
+                sums.append(total)
+            self.gain_counts[detector, points] += len(gains)
 
     def merge(self, other: "BerAccumulator") -> None:
-        if (self.k, self.nbits) != (other.k, other.nbits):
+        """Add the counts of other, an accumulator of the same cells."""
+        if (self.k, self.bit_errors.shape) != (other.k, other.bit_errors.shape):
             raise ValueError("accumulator shapes do not match")
-        self._add(
-            other.trials,
-            other.symbol_errors,
-            other.symbols_counted,
-            other.bit_errors,
-            other.bits_counted,
+        self.trials += other.trials
+        self.exhausted += other.exhausted
+        self.symbol_errors += other.symbol_errors
+        self.bit_errors += other.bit_errors
+        self.gain_counts += other.gain_counts
+        self.wall_ns += other.wall_ns
+        for mine, theirs in zip(self.gain_sums, other.gain_sums):
+            for sums, more in zip(mine, theirs):
+                sums.extend(more)
+
+    def rates(self) -> tuple:
+        """(ber, ser, mean_gain_db) per cell; ber has a trailing axis of
+        nbits + 1, each bit layer and then all bits.  Every rate divides two
+        integers below 2**53 in float64, the exact quotient correctly
+        rounded, and fsum rounds the exact sum of the gain sums in any
+        order."""
+        counted = self.trials * self.k
+        nbits = self.bit_errors.shape[-1]
+        ber = np.concatenate(
+            [
+                self.bit_errors / counted,
+                self.bit_errors.sum(axis=-1, keepdims=True) / (nbits * counted),
+            ],
+            axis=-1,
         )
-        self.gain_entries.extend(other.gain_entries)
-
-    @property
-    def ser(self) -> float:
-        return self.symbol_errors / self.symbols_counted if self.symbols_counted else 0.0
-
-    def ber_layer(self, bit_layer: int) -> float:
-        j = bit_layer - 1
-        return (
-            self.bit_errors[j] / self.bits_counted[j] if self.bits_counted[j] else 0.0
-        )
-
-    @property
-    def ber(self) -> float:
-        total = int(np.sum(self.bits_counted))
-        return int(np.sum(self.bit_errors)) / total if total else 0.0
-
-    @property
-    def mean_gain_db(self) -> float:
-        total = sum(count for _, _, count in self.gain_entries)
-        if not total:
-            return 0.0
-        # fsum rounds the exact sum, whatever the order of the entries
-        return math.fsum(s for _, s, _ in self.gain_entries) / total
+        sums = [cell for row in self.gain_sums for cell in row]
+        gains = [
+            math.fsum(cell) / count if count else 0.0
+            for cell, count in zip(sums, self.gain_counts.ravel().tolist())
+        ]
+        return ber, self.symbol_errors / counted, np.reshape(gains, self.gain_counts.shape)

@@ -4,14 +4,13 @@ Given y = z + alpha * sum_m p_m * b_m with |z| < 2 (scaled by alpha), every
 p_m even and every b_m odd, z is recovered exactly by a mod-4*alpha fold
 whose branch depends on the parity of (1/2) * sum_m p_m.  mod_recover is
 numeric-type agnostic: floats, numpy arrays and fractions.Fraction all
-work, which lets golden tests run in exact rational arithmetic.  mod_recover_each is the array form with one branch per element.
+work, which lets golden tests run in exact rational arithmetic, and its
+alpha and parity broadcast against an array y, one branch per element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -34,27 +33,18 @@ class ParityContext:
             )
 
 
-def mod_recover(y, alpha=1, parity_odd: bool = True):
+def mod_recover(y, alpha=1, parity_odd=True):
     """Fold y into [-2*alpha, 2*alpha) on the branch selected by the parity.
 
     Uses floored modulo (result in [0, 4*alpha)), so negative inputs wrap
     upward.  With parity_odd the fold is (y mod 4a) - 2a, otherwise
-    ((y + 2a) mod 4a) - 2a.
+    ((y + 2a) mod 4a) - 2a.  Both are one fold of y shifted by 2a - 2a *
+    parity_odd, so alpha and parity_odd may be arrays that broadcast
+    against y; the odd branch's shift of 0 alters only -0.0, which folds
+    as +0.0 does.
     """
-    period = 4 * alpha
     half = 2 * alpha
-    if parity_odd:
-        return (y % period) - half
-    return ((y + half) % period) - half
-
-
-def mod_recover_each(y, alpha, parity_odd):
-    """mod_recover over arrays, alpha and parity_odd broadcast against y:
-    one fold shifted by 2a on the even branch and +0.0 on the odd, which
-    gives each element the bytes of the scalar call on its branch (adding
-    +0.0 alters only -0.0, which folds as +0.0 does)."""
-    half = 2 * alpha
-    return ((y + np.where(parity_odd, 0.0, half)) % (4 * alpha)) - half
+    return ((y + (half - half * parity_odd)) % (4 * alpha)) - half
 
 
 def branch_parity(ctx: ParityContext) -> bool:

@@ -38,7 +38,7 @@ from .detect import (
     _check_choice,
 )
 from .intsearch import check_count
-from .metrics import _gain_rows, detector_gains, snr_to_n0
+from .metrics import BerAccumulator, _gain_rows, detector_gains, snr_to_n0
 from .rowwise import apply
 
 MZF_KIND_VARIANTS = {
@@ -205,12 +205,10 @@ def _fit_plan(spec: DetectorSpec, n0s: list) -> list:
     return [(0.0, slice(None))]
 
 
-def _run_trials(cfg: SimConfig, trial_indices) -> tuple:
-    """Process a batch of trials; returns symbol errors, bit errors (per
-    bit layer on a trailing axis), gain counts and wall times in ns as
-    arrays over (detector, snr), the number of budget-exhausted sphere
-    searches, and per (detector, snr) cell, detector-major, the list of each
-    trial's exactly rounded gain sum (none for a detector without gains).
+def _run_trials(cfg: SimConfig, trial_indices) -> BerAccumulator:
+    """Process a batch of trials; returns their BerAccumulator over
+    (detector, snr): error counts, gain sums, wall times in ns and the
+    number of budget-exhausted sphere searches.
 
     The detectors and their fit plans are made once per run.  A trial
     draws the symbols and noise of every SNR point first and forms all
@@ -218,52 +216,39 @@ def _run_trials(cfg: SimConfig, trial_indices) -> tuple:
     all of them in one predict_bits call; a detector whose fit needs n0 is
     fitted and called once per point.  Every detector's bits go into one
     (detector, point, K, nbits) array, and the errors of all detectors are
-    counted once per trial from it.  The bit map is one to one, so a symbol
-    is in error exactly when one of its bits is, and only the transmitted
-    symbols are mapped to bits here.
+    counted once per trial from it; only the transmitted symbols are
+    mapped to bits here.
     """
     specs = [parse_detector_spec(s) for s in cfg.detectors]
     alphabet = make_alphabet(cfg.modulation)
     nbits = alphabet.nbits
     n0s = [snr_to_n0(s, alphabet).n0 for s in cfg.snr_db]
     sigmas = np.sqrt(np.array(n0s) / 2.0)[:, None]
-    n_det, n_snr = len(specs), len(n0s)
+    n_det, n_snr, k = len(specs), len(n0s), _dimension(cfg)
     detectors = [build_detector(spec, cfg) for spec in specs]
     plans = [_fit_plan(spec, n0s) for spec in specs]
-    symbol_errors = np.zeros((n_det, n_snr), dtype=np.int64)
-    bit_errors = np.zeros((n_det, n_snr, nbits), dtype=np.int64)
-    gain_counts = np.zeros((n_det, n_snr), dtype=np.int64)
-    gain_sums = [[] for _ in range(n_det * n_snr)]
-    times = np.zeros((n_det, n_snr), dtype=np.int64)
-    exhausted = 0
+    acc = BerAccumulator(n_det, n_snr, k, nbits)
     # every entry is rewritten in each trial
-    bits = np.empty((n_det, n_snr, _dimension(cfg), nbits), dtype=np.int64)
+    bits = np.empty((n_det, n_snr, k, nbits), dtype=np.int64)
 
     for trial in trial_indices:
         rng = np.random.default_rng([cfg.seed, trial])
         h = _trial_channel(cfg, rng)
         x, noise = _draw(rng, alphabet, n_snr, h.shape[1], h.shape[0])
         y = apply(h, x) + sigmas * noise
-        truth_bits = symbol_to_bits(x, nbits)
 
         for d_idx, (spec, det, fits) in enumerate(zip(specs, detectors, plans)):
             for n0, points in fits:
-                cells = range(d_idx * n_snr, (d_idx + 1) * n_snr)[points]
+                wall_ns = acc.wall_ns[d_idx, points]  # a view: += adds to the cells
                 t0 = time.perf_counter_ns()
                 det.fit(h, n0=n0)
                 gains = _gain_rows(det) if isinstance(det, MZFDetector) else []
-                exhausted += _count_exhausted(det, spec)
+                acc.exhausted += _count_exhausted(det, spec)
                 bits[d_idx, points] = det.predict_bits(y[points])
-                times[d_idx, points] += (time.perf_counter_ns() - t0) // len(cells)
-                if gains:
-                    total = math.fsum(gain[3] for gain in gains)
-                    for cell in cells:
-                        gain_sums[cell].append(total)
-                    gain_counts[d_idx, points] += len(gains)
-        wrong = bits != truth_bits
-        symbol_errors += np.sum(wrong.any(axis=-1), axis=2)
-        bit_errors += np.sum(wrong, axis=2)
-    return symbol_errors, bit_errors, gain_counts, times, exhausted, gain_sums
+                wall_ns += (time.perf_counter_ns() - t0) // wall_ns.size
+                acc.add_gains(d_idx, points, gains)
+        acc.accumulate(symbol_to_bits(x, nbits), bits)
+    return acc
 
 
 def _draw(rng, alphabet, points: int, k: int, n: int) -> tuple:
@@ -320,35 +305,22 @@ def run_experiment(cfg: SimConfig) -> list[SimRecord]:
     The records are built from one list per field, every entry a Python
     str, float or int (what _fmt and emit format), zipped row by row into
     SimRecord tuples."""
-    parts = _map_trials(_run_trials, cfg)
+    acc, *parts = _map_trials(_run_trials, cfg)
     # counts are exact integers and every gain sum is kept, so the totals do
     # not depend on how the trials were split
-    symbol_errors, bit_errors, gain_counts, times, exhausted = (
-        sum(column) for column in zip(*(part[:5] for part in parts))
-    )
-    gain_sums = [sum(cells, []) for cells in zip(*(part[5] for part in parts))]
-    if exhausted:
+    for part in parts:
+        acc.merge(part)
+    if acc.exhausted:
         print(
-            f"warning: {exhausted} sphere searches hit the node budget and "
+            f"warning: {acc.exhausted} sphere searches hit the node budget and "
             "returned approximate perturbations",
             file=sys.stderr,
         )
 
-    # every rate divides two integers below 2**53 in float64: the exact
-    # quotient, correctly rounded
-    n_det, n_snr, nbits = bit_errors.shape
-    per_cell = nbits + 1  # one row per bit layer and an "all" row
-    counted = cfg.trials * _dimension(cfg)
-    bers = np.concatenate(
-        [bit_errors / counted, bit_errors.sum(axis=-1, keepdims=True) / (nbits * counted)],
-        axis=-1,
-    ).ravel().tolist()
-    # fsum rounds the exact sum, so the order of the per-trial sums is moot
-    gains = [
-        math.fsum(sums) / count if count else 0.0
-        for sums, count in zip(gain_sums, gain_counts.ravel().tolist())
-    ]
-    ms = times // 1_000_000 if cfg.timing else np.zeros_like(times)
+    ber, ser, gains = acc.rates()
+    n_det, n_snr, per_cell = ber.shape  # one row per bit layer and an "all" row
+    bers = ber.ravel().tolist()
+    ms = acc.wall_ns // 1_000_000 if cfg.timing else np.zeros_like(acc.wall_ns)
     labels = [parse_detector_spec(d).label for d in cfg.detectors]
     snrs = [float(snr) for snr in cfg.snr_db]
     bit_layers = [str(j) for j in range(1, per_cell)] + ["all"]
@@ -360,7 +332,7 @@ def run_experiment(cfg: SimConfig) -> list[SimRecord]:
         [snr for snr in snrs for _ in range(per_cell)] * n_det,
         bit_layers * (n_det * n_snr),
         bers,
-        np.repeat(symbol_errors / counted, per_cell).tolist(),
+        np.repeat(ser, per_cell).tolist(),
         np.repeat(gains, per_cell).tolist(),
         [cfg.trials] * len(bers),
         np.repeat(ms, per_cell).tolist(),

@@ -1,7 +1,8 @@
 """The benchmark under benchmarks/ still runs against this package: its
 smoke mode checks every workload's outputs (golden digests at seed 0
-included), and every function its tracer wraps must still exist, since a
-missing one would silently read 0."""
+included), every function its tracer wraps must still exist, since a
+missing one would silently read 0, and the harness must count and fold
+through the names the tracer wraps."""
 
 import importlib.util
 import os
@@ -34,3 +35,19 @@ def test_every_traced_function_exists():
     spans = _load_spans()
     with spans.traced(spans.SpanRecorder()) as missing:
         assert missing == []
+
+
+def test_harness_counts_and_folds_through_traced_names():
+    # a private twin of the count or the fold would read 0 calls here
+    from mzf.simulate import SimConfig, run_experiment
+
+    spans = _load_spans()
+    recorder = spans.SpanRecorder()
+    cfg = SimConfig(
+        modulation=16, kc=2, snr_db=(10.0, 20.0), trials=2, detectors=("mzf-ext2:sd",)
+    )
+    with spans.traced(recorder):
+        run_experiment(cfg)
+    totals = recorder.totals()
+    assert totals["metrics.BerAccumulator.accumulate"][2] == cfg.trials
+    assert totals["modarith.mod_recover"][2] > 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzf.alphabet import bits_to_symbol, make_alphabet, quantize_pam, symbol_to_bits
-from mzf.modarith import mod_recover, mod_recover_each
+from mzf.modarith import mod_recover
 
 # derandomized and without an example database, so every run checks the
 # same examples
@@ -88,10 +88,18 @@ def fold_inputs(draw):
 @given(fold_inputs())
 def test_fold_matches_scalar_mod_recover_on_both_branches(case):
     r, alpha, odd = case
-    out = mod_recover_each(r, alpha, odd)
-    for ri, ai, oi, zi in zip(r.tolist(), alpha.tolist(), odd.tolist(), out.tolist()):
-        want = mod_recover(ri, ai, oi)
-        assert zi == want and np.signbit(zi) == np.signbit(want)
-    # one branch for every element is the scalar-branch array call
-    assert np.array_equal(mod_recover_each(r, alpha, True), mod_recover(r, alpha, True))
-    assert np.array_equal(mod_recover_each(r, alpha, False), mod_recover(r, alpha, False))
+    # with one branch per element, and with one branch for every element
+    for branches in (odd, np.ones_like(odd), np.zeros_like(odd)):
+        out = mod_recover(r, alpha, branches)
+        for ri, ai, oi, zi in zip(r.tolist(), alpha.tolist(), branches.tolist(), out.tolist()):
+            want = mod_recover(ri, ai, oi)
+            assert zi == want and np.signbit(zi) == np.signbit(want)
+
+
+def test_fold_of_negative_zero_is_the_fold_of_zero():
+    # the odd branch shifts by +0, which turns -0.0 into +0.0 before the fold
+    for odd in (True, False):
+        want = [mod_recover(0.0, 1.0, odd), mod_recover(0.0, 2.0, odd)]
+        assert mod_recover(-0.0, 1.0, odd) == want[0]
+        out = mod_recover(np.array([-0.0, -0.0]), np.array([1.0, 2.0]), np.array([odd, odd]))
+        assert out.tolist() == want and np.signbit(out).tolist() == np.signbit(want).tolist()
