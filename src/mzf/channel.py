@@ -34,12 +34,28 @@ class ComplexChannel:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
-        if e.ndim != 2 or e.shape[0] < e.shape[1] or e.shape[1] < 1:
-            raise ValueError(f"channel must be N x K with N >= K >= 1, got {e.shape}")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("channel entries must be finite")
-        object.__setattr__(self, "entries", e)
+        object.__setattr__(self, "entries", _checked(np.asarray(self.entries, dtype=complex)))
+
+
+def _checked(m: np.ndarray) -> np.ndarray:
+    """m, if it is an N x K matrix with N >= K >= 1 and finite entries, the
+    one channel rule; ValueError otherwise."""
+    if m.ndim != 2 or m.shape[0] < m.shape[1] or m.shape[1] < 1:
+        raise ValueError(f"channel must be N x K with N >= K >= 1, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("channel entries must be finite")
+    return m
+
+
+def _real_channel(channel) -> np.ndarray:
+    """The checked real N x K float matrix of a real matrix, a complex one
+    (ndarray or nested list) or a ComplexChannel, whose entries may have
+    been written to since; a complex form is checked before its embedding,
+    so a refusal names the shape it was given."""
+    h = np.asarray(channel.entries if isinstance(channel, ComplexChannel) else channel)
+    if np.iscomplexobj(h):
+        return embed_complex(_checked(h))
+    return _checked(h.astype(float))
 
 
 def embed_complex(mat) -> np.ndarray:
@@ -93,9 +109,10 @@ def pseudo_inverse(h) -> np.ndarray:
     """Left pseudo-inverse of a full-column-rank real matrix.
 
     Raises if any singular value falls below RANK_RTOL times the largest,
-    naming the offending index, or if the inverse overflows.
+    naming the offending index, or if the inverse overflows; a matrix that
+    breaks the channel rule (wide, or an entry not finite) is refused first.
     """
-    h = np.asarray(h, dtype=float)
+    h = _checked(np.asarray(h, dtype=float))
     u, s, vt = np.linalg.svd(h, full_matrices=False)
     tol = RANK_RTOL * s[0] if s.size else 0.0
     bad = np.flatnonzero(s <= tol)
@@ -139,9 +156,10 @@ def _pseudo_inverse(h) -> np.ndarray:
 def lmmse_inverse(h, noise: NoiseSpec) -> np.ndarray:
     """Regularized equalizer Ht (H Ht + N0 I)^-1 (real case).
 
-    At n0 = 0, the ZF limit, h must pass pseudo_inverse's rank rule.
+    h must pass the channel rule, and at n0 = 0, the ZF limit,
+    pseudo_inverse's rank rule.
     """
-    h = np.asarray(h, dtype=float)
+    h = _checked(np.asarray(h, dtype=float))
     if noise.n0 == 0:
         _pseudo_inverse(h)
     gram = h @ h.T + noise.n0 * np.eye(h.shape[0])

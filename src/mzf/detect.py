@@ -20,16 +20,16 @@ import numpy as np
 
 from .alphabet import (
     bits_to_symbol,
+    check_count,
     make_alphabet,
     quantize_pam,
     quantize_int,
     symbol_to_bits,
 )
 from .channel import (
-    ComplexChannel,
     NoiseSpec,
     _pseudo_inverse,
-    embed_complex,
+    _real_channel,
     lmmse_inverse,
     mmse_error_matrix,
 )
@@ -40,7 +40,6 @@ from .intsearch import (
     _reduce,
     _solve_sd_rows,
     _triangle,
-    check_count,
     check_lll_delta,
     lll_reduce,
 )
@@ -111,21 +110,6 @@ def optimize_alpha(q, k: int, tau: float, hplus) -> tuple[float, np.ndarray]:
     return max(a0, 1.0), q
 
 
-def _coerce_real_channel(channel) -> np.ndarray:
-    """Accept a real matrix, a complex matrix, or a ComplexChannel."""
-    if isinstance(channel, ComplexChannel):
-        return embed_complex(channel)
-    h = np.asarray(channel)
-    if np.iscomplexobj(h):
-        return embed_complex(h)
-    h = h.astype(float)
-    if h.ndim != 2 or h.shape[0] < h.shape[1] or h.shape[1] < 1:
-        raise ValueError(f"channel must be N x K with N >= K >= 1, got {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("channel entries must be finite")
-    return h
-
-
 def _check_choice(name: str, value, allowed: tuple) -> None:
     if value not in allowed:
         raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
@@ -133,24 +117,28 @@ def _check_choice(name: str, value, allowed: tuple) -> None:
 
 class MimoDetector:
     """Base class wiring the estimator conventions; subclasses implement
-    _fit(h, n0) and _block(y), and may override _validate_params()."""
+    _fit(h, noise), which gets the checked real channel and NoiseSpec, and
+    _block(y), and may override __init__ and _validate_params()."""
+
+    def __init__(self, modulation: int = 4):
+        self.modulation = modulation
 
     def fit(self, channel, n0: float = 0.0):
         alphabet = make_alphabet(self.modulation)  # refuses a bad order first
         self._validate_params()
-        h = _coerce_real_channel(channel)
+        h = _real_channel(channel)
         noise = NoiseSpec(float(n0))  # raises on a negative or non-finite n0
         self.h_ = h
         self.k_ = h.shape[1]
         self.n0_ = noise.n0
         self.alphabet_ = alphabet
-        self._fit(h, noise.n0)
+        self._fit(h, noise)
         return self
 
     def _validate_params(self) -> None:
         """Raise ValueError on a constructor argument fit cannot use."""
 
-    def _fit(self, h: np.ndarray, n0: float) -> None:
+    def _fit(self, h: np.ndarray, noise: NoiseSpec) -> None:
         raise NotImplementedError
 
     def _block(self, y: np.ndarray) -> tuple:
@@ -212,10 +200,7 @@ class ZFDetector(MimoDetector):
     hplus_ is read-only: detectors fitted to one channel share it.
     """
 
-    def __init__(self, modulation: int = 4):
-        self.modulation = modulation
-
-    def _fit(self, h, n0):
+    def _fit(self, h, noise):
         self.hplus_ = _pseudo_inverse(h)
 
     def _block(self, y):
@@ -226,8 +211,8 @@ class ZFDetector(MimoDetector):
 class LMMSEDetector(ZFDetector):
     """Linear detection through the regularized inverse; needs n0 at fit."""
 
-    def _fit(self, h, n0):
-        self.hplus_ = lmmse_inverse(h, NoiseSpec(n0))
+    def _fit(self, h, noise):
+        self.hplus_ = lmmse_inverse(h, noise)
 
 
 class MLDetector(MimoDetector):
@@ -243,10 +228,7 @@ class MLDetector(MimoDetector):
     image H x of the decision.
     """
 
-    def __init__(self, modulation: int = 4):
-        self.modulation = modulation
-
-    def _fit(self, h, n0):
+    def _fit(self, h, noise):
         _pseudo_inverse(h)  # the rank rule, refusing dependent columns
         self.qr_ = _qr_positive(2.0 * h)
         self.shift_ = h @ np.full(h.shape[1], self.alphabet_.sqrt_m - 1.0)
@@ -452,7 +434,7 @@ class LARDetector(MimoDetector):
         _check_choice("mode", self.mode, LAR_MODES)
         check_lll_delta(self.delta, "delta")
 
-    def _fit(self, h, n0):
+    def _fit(self, h, noise):
         _pseudo_inverse(h)  # the rank rule, before the reduction's own test
         # not through the last-reduction memo: H is never a modulus
         # detector's basis, so it would only evict theirs
@@ -534,19 +516,19 @@ class MZFDetector(MimoDetector):
         check_count(self.brute_bound, "brute_bound", 0)
         check_lll_delta(self.lll_delta, "lll_delta")
 
-    def _fit(self, h, n0):
+    def _fit(self, h, noise):
         k = h.shape[1]
         alphabet = self.alphabet_
         if self.equalizer == "zf":
             self.hplus_ = _pseudo_inverse(h)
             effective = self.hplus_
         else:
-            self.hplus_ = lmmse_inverse(h, NoiseSpec(n0))
+            self.hplus_ = lmmse_inverse(h, noise)
             if self.noise_weighting == "printed":
-                effective = mmse_error_matrix(self.hplus_, h, NoiseSpec(n0))
+                effective = mmse_error_matrix(self.hplus_, h, noise)
             else:
                 left = self.hplus_ @ h - np.eye(k)
-                effective = np.hstack([left, math.sqrt(n0 / 2.0) * self.hplus_])
+                effective = np.hstack([left, math.sqrt(noise.n0 / 2.0) * self.hplus_])
         basis = -effective
         # the box search of solver="brute" reads no reduction
         solver = self.solver

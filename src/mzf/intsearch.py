@@ -267,6 +267,7 @@ def solve_sd(
     otherwise); it tightens the enumeration dramatically and is shared,
     factorizations included, across all layers of one coherence interval.
     """
+    check_count(budget, "budget", 1)
     if cache is not None:
         _check_cache(problem.B, cache)
     return _first(_solve_sd_rows(problem.b[None], problem.B, budget, cache))
@@ -280,8 +281,8 @@ def _solve_sd_rows(targets, B, budget, cache):
     check that, and the fit has just made it from B.  Rows searched on it
     before at this budget come from its searched memo and only the others
     are searched; when none was searched before, the search's own arrays
-    are returned."""
-    check_count(budget, "budget", 1)
+    are returned.  budget is an integer >= 1: solve_sd and the fit's
+    _validate_params check it."""
     targets = np.asarray(targets, dtype=float)
     if cache is None:
         return _search_rows(targets, B, budget, None)

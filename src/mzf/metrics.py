@@ -54,8 +54,12 @@ def _gain_rows(detector, snr_linear: float = 1.0) -> list[tuple]:
 
 
 def snr_to_n0(snr_db: float, alphabet: PamAlphabet) -> NoiseSpec:
-    """Noise density for a target SNR in dB: n0 = 2 E[|x|^2] / snr."""
-    return NoiseSpec(2.0 * alphabet.energy / 10.0 ** (snr_db / 10.0))
+    """Noise density for a target SNR in dB: n0 = 2 E[|x|^2] / snr; a
+    ValueError where snr or n0 is not a finite float (|snr_db| > ~3080)."""
+    try:
+        return NoiseSpec(2.0 * alphabet.energy / 10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError, ValueError) as err:
+        raise ValueError(f"snr_db {snr_db} gives no finite noise density") from err
 
 
 class BerAccumulator:

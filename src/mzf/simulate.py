@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alphabet import make_alphabet, symbol_to_bits
+from .alphabet import check_count, make_alphabet, symbol_to_bits
 from .channel import embed_complex, generate_channel, generate_real_channel
 from .detect import (
     EQUALIZERS,
@@ -37,7 +37,6 @@ from .detect import (
     ZFDetector,
     _check_choice,
 )
-from .intsearch import check_count
 from .metrics import BerAccumulator, _gain_rows, detector_gains, snr_to_n0
 from .rowwise import apply
 
@@ -126,7 +125,9 @@ class SimConfig:
             raise ValueError("detectors must not be empty")
         check_count(self.workers, "workers", 1)
         check_count(self.seed, "seed", 0)
-        make_alphabet(self.modulation)  # raises on an order not an integer power of 4
+        alphabet = make_alphabet(self.modulation)  # raises on an order not an integer power of 4
+        for snr in self.snr_db:
+            snr_to_n0(snr, alphabet)  # raises where n0 is not a finite float
         _check_choice("parity_mode", self.parity_mode, PARITY_MODES)
         _check_choice("lar_mode", self.lar_mode, LAR_MODES)
         _check_choice("noise_weighting", self.noise_weighting, NOISE_WEIGHTINGS)

@@ -1,5 +1,7 @@
 """Channel embedding, generation, and equalizer tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,19 @@ HPLUS_REF = (
     )
     / 185.0
 )
+
+# the channel rule's two messages
+SHAPE = "channel must be N x K with N >= K >= 1, got "
+FINITE = "channel entries must be finite"
+
+# (matrix, message) pairs the channel rule refuses
+NOT_A_CHANNEL = [
+    (np.ones((1, 2)), SHAPE + "(1, 2)"),  # dependent columns, no zero singular value
+    (np.ones(3), SHAPE + "(3,)"),
+    (np.ones((2, 2, 2)), SHAPE + "(2, 2, 2)"),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), FINITE),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), FINITE),
+]
 
 
 class TestEmbed:
@@ -96,10 +111,38 @@ class TestGenerateChannel:
             generate_channel(np.random.default_rng(0), 0)
 
     def test_complex_channel_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=FINITE):
             ComplexChannel(np.array([[np.inf + 0j]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(SHAPE + "(2, 3)")):
             ComplexChannel(np.zeros((2, 3), dtype=complex))  # N < K
+
+
+class TestRealChannel:
+    @pytest.mark.parametrize("wrap", [np.asarray, lambda m: m.tolist(), ComplexChannel])
+    def test_complex_forms_embed_alike(self, wrap):
+        m = generate_channel(np.random.default_rng(3), 3).entries[:, :2]
+        got = channel._real_channel(wrap(m))
+        assert got.dtype == float
+        assert np.array_equal(got, embed_complex(m))
+
+    def test_complex_channel_written_to_is_checked_again(self):
+        cc = generate_channel(np.random.default_rng(3), 2)
+        cc.entries[0, 0] = np.inf
+        with pytest.raises(ValueError, match=FINITE):
+            channel._real_channel(cc)
+
+
+class TestEqualizersRefuseWhatTheRuleRefuses:
+    @pytest.mark.parametrize("m, message", NOT_A_CHANNEL)
+    def test_pseudo_inverse(self, m, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pseudo_inverse(m)
+
+    @pytest.mark.parametrize("m, message", NOT_A_CHANNEL)
+    @pytest.mark.parametrize("n0", [0.0, 0.1])
+    def test_lmmse_inverse(self, m, message, n0):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lmmse_inverse(m, NoiseSpec(n0))
 
 
 class TestPseudoInverse:

@@ -200,6 +200,9 @@ class TestMain:
             (["--snr", "nan"], "snr_db must be finite"),
             (["--seed", "-1"], "seed must be >= 0, got -1"),
             (["--detectors", "zf:lll"], "detector 'zf' takes no solver suffix"),
+            (["--snr=4000"], "snr_db 4000.0 gives no finite noise density"),
+            (["--snr=-4000"], "snr_db -4000.0 gives no finite noise density"),
+            (["--snr=-3080"], "snr_db -3080.0 gives no finite noise density"),
         ],
     )
     def test_bad_option_value_is_a_usage_error(self, flags, message, tmp_path, capsys):

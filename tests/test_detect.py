@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -113,6 +114,30 @@ class TestEstimatorConventions:
         ):
             with pytest.raises(ValueError, match="finite"):
                 call(arg)
+
+    @pytest.mark.parametrize(
+        "det", [ZFDetector, LMMSEDetector, MZFDetector, MLDetector, LARDetector]
+    )
+    @pytest.mark.parametrize(
+        "channel, message",
+        [
+            # LAPACK's SVD used to loop on the embedding of an inf entry
+            (np.array([[np.inf + 0j, 0], [0, 1]]), "channel entries must be finite"),
+            ([[complex(np.inf), 0], [0, 1]], "channel entries must be finite"),
+            (np.array([[np.nan + 0j, 0], [0, 1]]), "channel entries must be finite"),
+            (np.array([[np.inf, 0], [0, 1]]), "channel entries must be finite"),
+            (np.array([[1 + 1j, 2]]), "channel must be N x K with N >= K >= 1, got (1, 2)"),
+            ([[1 + 1j, 2]], "channel must be N x K with N >= K >= 1, got (1, 2)"),
+            (np.ones((1, 2)), "channel must be N x K with N >= K >= 1, got (1, 2)"),
+            (np.array([1 + 1j, 2]), "channel must be N x K with N >= K >= 1, got (2,)"),
+            (np.ones(2), "channel must be N x K with N >= K >= 1, got (2,)"),
+        ],
+    )
+    def test_bad_channel_form_refused_at_fit(self, det, channel, message):
+        d = det(4)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            d.fit(channel, n0=0.1)
+        assert not hasattr(d, "h_")
 
     def test_complex_channel_is_embedded(self):
         cc = generate_channel(np.random.default_rng(0), 2)

@@ -95,12 +95,13 @@ class TestSolveSd:
 
     @pytest.mark.parametrize("budget", [2.5, 1e6, True])
     def test_rejects_non_integer_budget(self, budget):
+        # the public call checks it; the fit's row search relies on
+        # MZFDetector._validate_params
         p = reference_problem(0)
-        cache = lll_reduce(p.B.T)
         with pytest.raises(ValueError, match=f"budget must be an integer, got {budget!r}"):
-            _solve_sd_rows(p.b[None], p.B, budget, cache)
-        with pytest.raises(ValueError, match="budget must be an integer"):
             solve_sd(p, budget=budget)
+        with pytest.raises(ValueError, match=f"budget must be an integer, got {budget!r}"):
+            solve_sd(p, budget=budget, cache=lll_reduce(p.B.T))
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_cache_agrees_with_plain_search_at_k12(self, order):

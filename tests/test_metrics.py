@@ -52,6 +52,12 @@ class TestSnrToN0:
     def test_vanishes_at_high_snr(self):
         assert snr_to_n0(120.0, make_alphabet(64)).n0 < 1e-10
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, -3080.0, float("nan")])
+    def test_refuses_a_point_without_a_finite_density(self, snr_db):
+        # 10**400 overflows, 10**-400 is 0, and 2 * 5 / 1e-308 is inf
+        with pytest.raises(ValueError, match=f"snr_db {snr_db} gives no finite noise density"):
+            snr_to_n0(snr_db, make_alphabet(4))
+
 
 def _bits(symbols, nbits):
     """The bits of an array of PAM symbols, on a trailing bit-layer axis."""
