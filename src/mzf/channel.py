@@ -8,6 +8,7 @@ y = H x + n with noise covariance (N0 / 2) * I.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +19,23 @@ RANK_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise spectral density; the real-noise covariance is (n0 / 2) * I."""
+    """Noise spectral density; the real-noise covariance is (n0 / 2) * I.
+
+    The one check of an n0: a real number (not a str, a complex or a bool),
+    finite and >= 0, stored as a float.
+    """
 
     n0: float
 
     def __post_init__(self):
-        if not math.isfinite(self.n0) or self.n0 < 0:
-            raise ValueError(f"noise density must be finite and >= 0, got {self.n0}")
+        n0 = self.n0
+        if type(n0) is not float:  # a float skips the numbers.Real test, the slow part
+            if isinstance(n0, bool) or not isinstance(n0, numbers.Real):
+                raise ValueError(f"noise density must be a real number, got {n0!r}")
+            n0 = float(n0)
+            object.__setattr__(self, "n0", n0)
+        if not math.isfinite(n0) or n0 < 0:
+            raise ValueError(f"noise density must be finite and >= 0, got {n0}")
 
 
 @dataclass(frozen=True)

@@ -127,13 +127,18 @@ class MimoDetector:
         alphabet = make_alphabet(self.modulation)  # refuses a bad order first
         self._validate_params()
         h = _real_channel(channel)
-        noise = NoiseSpec(float(n0))  # raises on a negative or non-finite n0
+        noise = NoiseSpec(n0)  # the one check of n0
+        self._bind(h, noise, alphabet)
+        self._fit(h, noise)
+        return self
+
+    def _bind(self, h, noise: NoiseSpec, alphabet) -> None:
+        """Keep the checked channel, its dimension, n0 and the alphabet as
+        the fitted state every detector has."""
         self.h_ = h
         self.k_ = h.shape[1]
         self.n0_ = noise.n0
         self.alphabet_ = alphabet
-        self._fit(h, noise)
-        return self
 
     def _validate_params(self) -> None:
         """Raise ValueError on a constructor argument fit cannot use."""
@@ -474,14 +479,15 @@ class MZFDetector(MimoDetector):
     the amplitude-correct sqrt(n0 / 2).
 
     fit searches every (stage, layer) in one row search, a stage being one
-    bit layer of the bitwise variant and the only one otherwise, and keeps
-    its result as arrays only: the stage scales tau_ (stages), the even
-    perturbations q_ (stages x K x K), the combining rows comb_
-    (stages x K x N), and over (stage, layer) the fold scales alpha_, the
-    degenerate_ mask, parity_ (True where half the sum of q is odd), the
+    bit layer n at the scale tau(n) = 2**(1 - n): every one for bitwise,
+    the first (tau = 1) for feedback and the last (the alphabet's tau)
+    otherwise.  It keeps its result as arrays only: the stage scales tau_
+    (stages), the even perturbations q_ (stages x K x K), the combining rows
+    comb_ (stages x K x N), and over (stage, layer) the fold scales alpha_,
+    the degenerate_ mask, parity_ (True where half the sum of q is odd), the
     search costs cost_, exact_ and the search nodes_.  With the zf
     equalizer, hplus_ is the read-only pseudo-inverse every detector fitted
-    to the channel shares.
+    to the channel shares.  A fit is a family of one (_fit_family).
     """
 
     def __init__(
@@ -516,66 +522,30 @@ class MZFDetector(MimoDetector):
         check_count(self.brute_bound, "brute_bound", 0)
         check_lll_delta(self.lll_delta, "lll_delta")
 
-    def _fit(self, h, noise):
-        k = h.shape[1]
-        alphabet = self.alphabet_
-        if self.equalizer == "zf":
-            self.hplus_ = _pseudo_inverse(h)
-            effective = self.hplus_
-        else:
-            self.hplus_ = lmmse_inverse(h, noise)
-            if self.noise_weighting == "printed":
-                effective = mmse_error_matrix(self.hplus_, h, noise)
-            else:
-                left = self.hplus_ @ h - np.eye(k)
-                effective = np.hstack([left, math.sqrt(noise.n0 / 2.0) * self.hplus_])
-        basis = -effective
-        # the box search of solver="brute" reads no reduction
-        solver = self.solver
-        self.reduction_ = None if solver == "brute" else _reduce(basis.T, self.lll_delta)
-
+    def _stages(self, nbits: int) -> range:
+        """The bit layers n - 1 whose scales tau(n) this variant searches."""
         if self.variant == "bitwise":
-            self.tau_ = 0.5 ** np.arange(alphabet.nbits)
-        elif self.variant == "feedback":
-            self.tau_ = np.ones(1)
-        else:
-            self.tau_ = np.array([alphabet.tau])
+            return range(nbits)
+        if self.variant == "feedback":
+            return range(1)
+        return range(nbits - 1, nbits)
 
-        # one search row per (stage, layer), stage-major
-        tau = self.tau_[:, None, None]
-        targets = (tau * effective).reshape(-1, effective.shape[1])
-        if solver == "sd":
-            q, _, exact, nodes = _solve_sd_rows(
-                targets, basis, self.sd_budget, self.reduction_
+    def _fit(self, h, noise):
+        _fit_family([self], h, noise)
+
+    def _scale_alpha(self, targets, effective):
+        """The scaled-alpha step on the stages it took: a closed-form fold
+        scale per non-degenerate layer, and its own q_, alpha_, comb_,
+        cost_ and parity_ to match."""
+        self.q_ = q = self.q_.copy()
+        self.alpha_ = alpha = np.ones(self.degenerate_.shape)
+        for s, layer in zip(*np.nonzero(~self.degenerate_)):
+            alpha[s, layer], q[s, layer] = optimize_alpha(
+                q[s, layer], layer, self.tau_[s], self.hplus_
             )
-        elif solver == "lll":
-            q, _, exact, nodes = _lll_rows(targets, basis, self.reduction_)
-        else:
-            q, _, exact, nodes = _brute_rows(targets, basis, self.brute_bound)
-        shape = (len(self.tau_), k)
-        self.q_ = q = q.reshape(*shape, k)
-        self.exact_, self.nodes_ = exact.reshape(shape), nodes.reshape(shape)
-        # a perturbation touching no other layer never beats q = 0 when
-        # tau <= 1; such a layer keeps the plain equalizer row, so it
-        # matches ZF bit for bit
-        off_diagonal = q.astype(bool) & ~np.eye(k, dtype=bool)
-        self.degenerate_ = degenerate = ~off_diagonal.any(axis=-1)
-        q[degenerate] = 0
-        self.alpha_ = alpha = np.ones(shape)
-        if self.variant == "scaled-alpha":
-            for s, layer in zip(*np.nonzero(~degenerate)):
-                alpha[s, layer], q[s, layer] = optimize_alpha(
-                    q[s, layer], layer, self.tau_[s], self.hplus_
-                )
-        plain = tau * self.hplus_
-        qf, scale = q.astype(float), alpha[..., None]
-        self.comb_ = np.where(
-            degenerate[..., None], plain, plain + scale * times(qf, self.hplus_)
+        self.comb_, self.cost_, self.parity_ = _combined(
+            self.tau_, q, alpha, self.degenerate_, targets, self.hplus_, effective
         )
-        targets = targets.reshape(*shape, -1)
-        resid = targets + scale * times(qf, effective)
-        self.cost_ = np.where(degenerate, dots(targets, targets), dots(resid, resid))
-        self.parity_ = (q.sum(axis=-1) // 2) % 2 == 1
 
     @property
     def plans_(self) -> list[list[PerturbationPlan]]:
@@ -647,3 +617,82 @@ class MZFDetector(MimoDetector):
             odd = self.parity_[s] ^ flip
         return np.where(bypass, r, mod_recover(r, self.alpha_[s], odd))
 
+
+def _fit_family(members, h, noise) -> None:
+    """Fit the MZFDetectors members, bound to the checked real channel h
+    and alike in every option but variant, as one family: one equalizer,
+    one reduction and one row search over the union of the members'
+    stages, assembled once with alpha = 1.  Each member takes views of its
+    stages, which are contiguous in the union (bitwise takes them all, the
+    others one), and a scaled-alpha member then runs its alpha step.  Where
+    members share the arrays they are read-only; a lone fit's are its own.
+    A row's search does not depend on the other rows searched with it, so
+    every member's arrays are the bytes its own fit computes."""
+    lead = members[0]
+    k = h.shape[1]
+    if lead.equalizer == "zf":
+        hplus = effective = _pseudo_inverse(h)
+    else:
+        hplus = lmmse_inverse(h, noise)
+        if lead.noise_weighting == "printed":
+            effective = mmse_error_matrix(hplus, h, noise)
+        else:
+            left = hplus @ h - np.eye(k)
+            effective = np.hstack([left, math.sqrt(noise.n0 / 2.0) * hplus])
+    basis = -effective
+    # the box search of solver="brute" reads no reduction
+    solver = lead.solver
+    reduction = None if solver == "brute" else _reduce(basis.T, lead.lll_delta)
+
+    nbits = lead.alphabet_.nbits
+    stages = sorted({n for det in members for n in det._stages(nbits)})
+    tau = 0.5 ** np.array(stages)
+    # one search row per (stage, layer), stage-major
+    targets = (tau[:, None, None] * effective).reshape(-1, effective.shape[1])
+    if solver == "sd":
+        q, _, exact, nodes = _solve_sd_rows(targets, basis, lead.sd_budget, reduction)
+    elif solver == "lll":
+        q, _, exact, nodes = _lll_rows(targets, basis, reduction)
+    else:
+        q, _, exact, nodes = _brute_rows(targets, basis, lead.brute_bound)
+    shape = (len(stages), k)
+    q = q.reshape(*shape, k)
+    # a perturbation touching no other layer never beats q = 0 when
+    # tau <= 1; such a layer keeps the plain equalizer row, so it
+    # matches ZF bit for bit
+    off_diagonal = q.astype(bool) & ~np.eye(k, dtype=bool)
+    degenerate = ~off_diagonal.any(axis=-1)
+    q[degenerate] = 0
+    alpha = np.ones(shape)
+    targets = targets.reshape(*shape, -1)
+    comb, cost, parity = _combined(tau, q, alpha, degenerate, targets, hplus, effective)
+    fitted = {
+        "tau_": tau, "q_": q, "exact_": exact.reshape(shape), "nodes_": nodes.reshape(shape),
+        "degenerate_": degenerate, "alpha_": alpha, "comb_": comb, "cost_": cost,
+        "parity_": parity,
+    }
+    for det in members:
+        det.hplus_, det.reduction_ = hplus, reduction
+        own = det._stages(nbits)
+        first = stages.index(own[0])
+        at = slice(first, first + len(own))
+        for name, a in fitted.items():
+            setattr(det, name, a[at])
+        if det.variant == "scaled-alpha":
+            det._scale_alpha(targets[at], effective)
+    if len(members) > 1:
+        for det in members:
+            for name in ("hplus_", *fitted):
+                getattr(det, name).flags.writeable = False
+
+
+def _combined(tau, q, alpha, degenerate, targets, hplus, effective) -> tuple:
+    """(comb_, cost_, parity_) of stages at scales tau with perturbations q,
+    fold scales alpha and the degenerate mask; targets are the stages'
+    search rows tau * effective."""
+    plain = tau[:, None, None] * hplus
+    qf, scale = q.astype(float), alpha[..., None]
+    comb = np.where(degenerate[..., None], plain, plain + scale * times(qf, hplus))
+    resid = targets + scale * times(qf, effective)
+    cost = np.where(degenerate, dots(targets, targets), dots(resid, resid))
+    return comb, cost, (q.sum(axis=-1) // 2) % 2 == 1

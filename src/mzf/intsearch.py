@@ -30,15 +30,12 @@ _brute_rows, which builds its box once for all rows); solve_sd, solve_lll
 and solve_brute are their one-row calls.
 
 Fits of one channel at several QAM orders and variants reduce the same
-basis and partly search the same rows, so two memos reuse results that are
-byte for byte what a fresh computation gives.  _reduce keeps the last
-reduction, keyed by a copy of its input's bytes; the row search keeps every
-row it searched on a reduction in that reduction's searched dict, so the
-memo is freed with the reduction.  A row answered from the memo carries the
-nodes and exact flag of the search that first found it, so node counts
-read as if every search had run; a block none of whose rows is in the memo
-returns the search's own arrays.  Everything a ReducedBasis holds is
-read-only, since fitted detectors share it.
+basis, so _reduce keeps the last reduction, keyed by a copy of its input's
+bytes, and returns what a fresh reduction gives byte for byte.  Everything
+a ReducedBasis holds is read-only, since fitted detectors share it.  The
+row a fit searches does not depend on the other rows of its block, so the
+modulus detectors of one channel that share rows search them once, in one
+family fit (detect._fit_family).
 """
 
 from __future__ import annotations
@@ -99,12 +96,6 @@ class ReducedBasis:
     @cached_property
     def source_pinv(self) -> np.ndarray:
         return _read_only(np.linalg.pinv(self.source))
-
-    @cached_property
-    def searched(self) -> dict:
-        """(target row bytes, budget) -> (q, cost, exact, nodes) of every row
-        the sphere search ran on this reduction."""
-        return {}
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -278,28 +269,9 @@ def _solve_sd_rows(targets, B, budget, cache):
     (see the module docstring); returns (q, cost, exact, nodes) arrays.
 
     cache, when given, is the reduction of B transposed: the public calls
-    check that, and the fit has just made it from B.  Rows searched on it
-    before at this budget come from its searched memo and only the others
-    are searched; when none was searched before, the search's own arrays
-    are returned.  budget is an integer >= 1: solve_sd and the fit's
-    _validate_params check it."""
+    check that, and the fit has just made it from B.  budget is an integer
+    >= 1: solve_sd and the fit's _validate_params check it."""
     targets = np.asarray(targets, dtype=float)
-    if cache is None:
-        return _search_rows(targets, B, budget, None)
-    memo = cache.searched
-    keys = [(row.tobytes(), budget) for row in targets]
-    miss = [i for i, key in enumerate(keys) if key not in memo]
-    if miss:
-        q, cost, exact, nodes = _search_rows(targets[miss], B, budget, cache)
-        scalars = (a.tolist() for a in (cost, exact, nodes))
-        memo.update(zip((keys[i] for i in miss), zip(_read_only(q.copy()), *scalars)))
-        if len(miss) == len(keys):
-            return q, cost, exact, nodes
-    return tuple(map(np.array, zip(*(memo[key] for key in keys))))
-
-
-def _search_rows(targets, B, budget, cache):
-    """The row search itself, on the reduction cache of B transposed."""
     rows, K = len(targets), B.shape[0]
     if cache is None:
         q_mat, r_mat = _qr_positive(2.0 * B.T)

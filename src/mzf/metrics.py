@@ -56,6 +56,8 @@ def _gain_rows(detector, snr_linear: float = 1.0) -> list[tuple]:
 def snr_to_n0(snr_db: float, alphabet: PamAlphabet) -> NoiseSpec:
     """Noise density for a target SNR in dB: n0 = 2 E[|x|^2] / snr; a
     ValueError where snr or n0 is not a finite float (|snr_db| > ~3080)."""
+    if not math.isfinite(snr_db):  # inf would give n0 = 0, the ZF limit
+        raise ValueError(f"snr_db {snr_db} gives no finite noise density")
     try:
         return NoiseSpec(2.0 * alphabet.energy / 10.0 ** (snr_db / 10.0))
     except (OverflowError, ZeroDivisionError, ValueError) as err:

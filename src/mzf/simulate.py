@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .alphabet import check_count, make_alphabet, symbol_to_bits
-from .channel import embed_complex, generate_channel, generate_real_channel
+from .channel import NoiseSpec, embed_complex, generate_channel, generate_real_channel
 from .detect import (
     EQUALIZERS,
     LAR_MODES,
@@ -36,6 +36,7 @@ from .detect import (
     MZFDetector,
     ZFDetector,
     _check_choice,
+    _fit_family,
 )
 from .metrics import BerAccumulator, _gain_rows, detector_gains, snr_to_n0
 from .rowwise import apply
@@ -196,14 +197,26 @@ def _count_exhausted(det, spec: DetectorSpec) -> int:
     return int(np.count_nonzero(~det.exact_))
 
 
-def _fit_plan(spec: DetectorSpec, n0s: list) -> list:
-    """(n0 of the fit, slice of the SNR points detected on it) for each fit
-    a trial makes of the detector: one per point if the fit needs n0, else
-    one at n0 = 0 for every point.  Indexing by a slice is basic indexing,
-    so it makes views, not copies."""
+def _fit_plan(spec: DetectorSpec, noises: list) -> list:
+    """(NoiseSpec of the fit, slice of the SNR points detected on it) for
+    each fit a trial makes of the detector: one per point if the fit needs
+    n0, else one at n0 = 0 for every point.  Indexing by a slice is basic
+    indexing, so it makes views, not copies."""
     if _noise_dependent(spec):
-        return [(n0, slice(s_idx, s_idx + 1)) for s_idx, n0 in enumerate(n0s)]
-    return [(0.0, slice(None))]
+        return [(noise, slice(s_idx, s_idx + 1)) for s_idx, noise in enumerate(noises)]
+    return [(NoiseSpec(0.0), slice(None))]
+
+
+def _families(specs: list) -> list:
+    """The detector indices fitted together, in order of first listing: the
+    modulus detectors of one equalizer and one solver form one family, as
+    every other search option is run-wide; any other detector is fitted
+    alone."""
+    families = {}
+    for d_idx, spec in enumerate(specs):
+        key = (spec.equalizer, spec.solver) if spec.kind in MZF_KIND_VARIANTS else d_idx
+        families.setdefault(key, []).append(d_idx)
+    return list(families.values())
 
 
 def _run_trials(cfg: SimConfig, trial_indices) -> BerAccumulator:
@@ -211,23 +224,30 @@ def _run_trials(cfg: SimConfig, trial_indices) -> BerAccumulator:
     (detector, snr): error counts, gain sums, wall times in ns and the
     number of budget-exhausted sphere searches.
 
-    The detectors and their fit plans are made once per run.  A trial
-    draws the symbols and noise of every SNR point first and forms all
-    observations at once, then each detector fitted once per trial detects
-    all of them in one predict_bits call; a detector whose fit needs n0 is
-    fitted and called once per point.  Every detector's bits go into one
-    (detector, point, K, nbits) array, and the errors of all detectors are
-    counted once per trial from it; only the transmitted symbols are
-    mapped to bits here.
+    The detectors, their families and fit plans are made once per run.  A
+    trial draws the symbols and noise of every SNR point first and forms
+    all observations at once.  Each family is fitted once per trial, or
+    once per point if its fit needs n0: a family of several modulus
+    detectors runs one equalizer, reduction and row search for all its
+    members (detect._fit_family), and a detector alone is fitted through
+    its public fit.  Each detector then detects all the family fit's points
+    in one predict_bits call.  A detector's wall time is its share of the
+    family fit, spread evenly over the members, plus its own gains and
+    detection.  Every detector's bits go into one (detector, point, K,
+    nbits) array, and the errors of all detectors are counted once per
+    trial from it; only the transmitted symbols are mapped to bits here.
     """
     specs = [parse_detector_spec(s) for s in cfg.detectors]
     alphabet = make_alphabet(cfg.modulation)
     nbits = alphabet.nbits
-    n0s = [snr_to_n0(s, alphabet).n0 for s in cfg.snr_db]
-    sigmas = np.sqrt(np.array(n0s) / 2.0)[:, None]
-    n_det, n_snr, k = len(specs), len(n0s), _dimension(cfg)
+    noises = [snr_to_n0(s, alphabet) for s in cfg.snr_db]
+    sigmas = np.sqrt(np.array([noise.n0 for noise in noises]) / 2.0)[:, None]
+    n_det, n_snr, k = len(specs), len(noises), _dimension(cfg)
     detectors = [build_detector(spec, cfg) for spec in specs]
-    plans = [_fit_plan(spec, n0s) for spec in specs]
+    families = [
+        (members, [detectors[i] for i in members], _fit_plan(specs[members[0]], noises))
+        for members in _families(specs)
+    ]
     acc = BerAccumulator(n_det, n_snr, k, nbits)
     # every entry is rewritten in each trial
     bits = np.empty((n_det, n_snr, k, nbits), dtype=np.int64)
@@ -238,16 +258,24 @@ def _run_trials(cfg: SimConfig, trial_indices) -> BerAccumulator:
         x, noise = _draw(rng, alphabet, n_snr, h.shape[1], h.shape[0])
         y = apply(h, x) + sigmas * noise
 
-        for d_idx, (spec, det, fits) in enumerate(zip(specs, detectors, plans)):
-            for n0, points in fits:
-                wall_ns = acc.wall_ns[d_idx, points]  # a view: += adds to the cells
+        for members, dets, fits in families:
+            for fit_noise, points in fits:
                 t0 = time.perf_counter_ns()
-                det.fit(h, n0=n0)
-                gains = _gain_rows(det) if isinstance(det, MZFDetector) else []
-                acc.exhausted += _count_exhausted(det, spec)
-                bits[d_idx, points] = det.predict_bits(y[points])
-                wall_ns += (time.perf_counter_ns() - t0) // wall_ns.size
-                acc.add_gains(d_idx, points, gains)
+                if len(dets) == 1:
+                    dets[0].fit(h, n0=fit_noise.n0)
+                else:
+                    for det in dets:
+                        det._bind(h, fit_noise, alphabet)
+                    _fit_family(dets, h, fit_noise)
+                share_ns = (time.perf_counter_ns() - t0) // len(dets)
+                for d_idx, det in zip(members, dets):
+                    wall_ns = acc.wall_ns[d_idx, points]  # a view: += adds to the cells
+                    t0 = time.perf_counter_ns()
+                    gains = _gain_rows(det) if isinstance(det, MZFDetector) else []
+                    acc.exhausted += _count_exhausted(det, specs[d_idx])
+                    bits[d_idx, points] = det.predict_bits(y[points])
+                    wall_ns += (share_ns + time.perf_counter_ns() - t0) // wall_ns.size
+                    acc.add_gains(d_idx, points, gains)
         acc.accumulate(symbol_to_bits(x, nbits), bits)
     return acc
 

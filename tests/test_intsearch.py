@@ -250,50 +250,10 @@ class TestRowSearch:
     @pytest.mark.parametrize("cached", [True, False])
     def test_sd_rows_equal_one_row_searches(self, k, budget, cached):
         targets, basis, cache = stacked_layers(k)
-        rows = _solve_sd_rows(targets, basis, budget, cache if cached else None)
-        # a reduction of its own, so the batch's search memo cannot answer
-        # the one-row searches
-        own = lll_reduce(basis.T) if cached else None
-        solutions = [solve_sd(IlsProblem(b, basis), budget, own) for b in targets]
+        cache = cache if cached else None
+        rows = _solve_sd_rows(targets, basis, budget, cache)
+        solutions = [solve_sd(IlsProblem(b, basis), budget, cache) for b in targets]
         assert_rows_match(rows, solutions)
-
-    @pytest.mark.parametrize("k", [6, 12])
-    def test_memo_answers_equal_fresh_searches(self, k, monkeypatch):
-        targets, basis, cache = stacked_layers(k)
-        want = {
-            budget: _solve_sd_rows(targets, basis, budget, lll_reduce(basis.T))
-            for budget in (50, 10**6)
-        }
-        calls = []
-        real = intsearch._search_rows
-
-        def counted(targets, *args):
-            calls.append(len(targets))
-            return real(targets, *args)
-
-        monkeypatch.setattr(intsearch, "_search_rows", counted)
-        _solve_sd_rows(targets[::2], basis, 10**6, cache)
-        some = _solve_sd_rows(targets, basis, 10**6, cache)  # the odd rows searched
-        every = _solve_sd_rows(targets, basis, 10**6, cache)  # none searched
-        starved = _solve_sd_rows(targets, basis, 50, cache)  # another key
-        assert calls == [(k + 1) // 2, k // 2, k]
-        for got, budget in ((some, 10**6), (every, 10**6), (starved, 50)):
-            for a, b in zip(got, want[budget]):
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-                assert a.flags.writeable
-        assert len(cache.searched) == 2 * k
-
-    def test_fresh_search_returns_arrays_apart_from_the_memo(self):
-        # a search that answers every row itself returns its own arrays;
-        # writing into them must not reach the memo
-        targets, basis, cache = stacked_layers(6)
-        first = _solve_sd_rows(targets, basis, 10**6, cache)
-        kept = [a.copy() for a in first]
-        for a in first:
-            a[...] = 0
-        again = _solve_sd_rows(targets, basis, 10**6, cache)
-        for a, b in zip(again, kept):
-            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
 
     @pytest.mark.parametrize("k", [6, 12, 24])
     def test_lll_rows_equal_one_row_estimates(self, k):

@@ -52,9 +52,12 @@ class TestSnrToN0:
     def test_vanishes_at_high_snr(self):
         assert snr_to_n0(120.0, make_alphabet(64)).n0 < 1e-10
 
-    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, -3080.0, float("nan")])
+    @pytest.mark.parametrize(
+        "snr_db", [4000.0, -4000.0, -3080.0, float("nan"), float("inf")]
+    )
     def test_refuses_a_point_without_a_finite_density(self, snr_db):
-        # 10**400 overflows, 10**-400 is 0, and 2 * 5 / 1e-308 is inf
+        # 10**400 overflows, 10**-400 is 0, and 2 * 5 / 1e-308 is inf; an
+        # infinite snr would give n0 = 0, the ZF limit
         with pytest.raises(ValueError, match=f"snr_db {snr_db} gives no finite noise density"):
             snr_to_n0(snr_db, make_alphabet(4))
 

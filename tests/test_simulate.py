@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -181,19 +182,49 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_shared_bits_keep_each_detector_apart(self, workers):
-        # one run of five detectors gives, row for row, the records of five
-        # runs of one detector each at the same seed
-        detectors = ("zf", "lmmse", "mzf:sd", "mzf+lmmse:sd", "ml")
-        cfg = dataclasses.replace(
-            BASE, modulation=16, snr_db=(6.0, 14.0, 22.0), trials=7, workers=workers
+        # one run of several detectors gives, row for row, the records of
+        # runs of one detector each at the same seed: with detectors fitted
+        # alone, with one family of every modulus variant beside them, with
+        # two solvers on one channel and with one LMMSE family per point
+        lists = (
+            ("zf", "lmmse", "mzf:sd", "mzf+lmmse:sd", "ml"),
+            ("zf", "mzf:sd", "mzf-ext1:sd", "mzf-ext2:sd", "mzf-ext3:sd", "ml"),
+            ("mzf:sd", "mzf:lll", "mzf-ext2:lll"),
+            ("mzf+lmmse:sd", "mzf-ext2+lmmse:sd", "mzf-ext3+lmmse:sd"),
         )
-        together = run_experiment(dataclasses.replace(cfg, detectors=detectors))
-        alone = [
-            r for d in detectors
-            for r in run_experiment(dataclasses.replace(cfg, detectors=(d,)))
-        ]
-        assert together == alone
-        assert len({(r.ber, r.ser) for r in together}) > len(detectors)
+        # points where each order makes some errors, so the records differ
+        grids = {4: (0.0, 4.0, 8.0), 16: (6.0, 14.0, 22.0), 64: (12.0, 18.0, 24.0)}
+        for detectors in lists:
+            for modulation, snr_db in grids.items():
+                cfg = dataclasses.replace(
+                    BASE, modulation=modulation, snr_db=snr_db, trials=7, workers=workers
+                )
+                together = run_experiment(dataclasses.replace(cfg, detectors=detectors))
+                alone = [
+                    r for d in detectors
+                    for r in run_experiment(dataclasses.replace(cfg, detectors=(d,)))
+                ]
+                assert together == alone, (detectors, modulation)
+                # the records differ, so their equality says something; at
+                # M = 4 every modulus variant is the plain detector
+                floor = 1 if modulation == 4 else len(detectors)
+                assert len({(r.ber, r.ser) for r in together}) > floor
+
+    def test_family_counts_each_members_exhausted_searches(self, capsys):
+        # with sd_budget=1 every search stops early; a family's members
+        # share their rows' searches, and each still counts every search of
+        # its own stages, so the warning counts what the solo runs count
+        detectors = ("mzf:sd", "mzf-ext1:sd", "mzf-ext2:sd", "mzf-ext3:sd", "mzf+lmmse:sd")
+        cfg = dataclasses.replace(BASE, modulation=16, trials=4, sd_budget=1)
+
+        def warned(detectors):
+            run_experiment(dataclasses.replace(cfg, detectors=detectors))
+            found = re.search(r"warning: (\d+) sphere searches", capsys.readouterr().err)
+            return int(found.group(1))
+
+        solo = [warned((d,)) for d in detectors]
+        assert min(solo) > 0
+        assert warned(detectors) == sum(solo)
 
     def test_unstructured_real_channel_mode(self):
         cfg = dataclasses.replace(BASE, kc=None, k_real=3, trials=5)
