@@ -622,12 +622,13 @@ def _fit_family(members, h, noise) -> None:
     """Fit the MZFDetectors members, bound to the checked real channel h
     and alike in every option but variant, as one family: one equalizer,
     one reduction and one row search over the union of the members'
-    stages, assembled once with alpha = 1.  Each member takes views of its
-    stages, which are contiguous in the union (bitwise takes them all, the
-    others one), and a scaled-alpha member then runs its alpha step.  Where
-    members share the arrays they are read-only; a lone fit's are its own.
-    A row's search does not depend on the other rows searched with it, so
-    every member's arrays are the bytes its own fit computes."""
+    stages, assembled once with alpha = 1 on the stages a member without
+    an alpha step reads.  Each member takes views of its stages, which are
+    contiguous in the union (bitwise takes them all, the others one), and a
+    scaled-alpha member runs its alpha step instead.  Where members share
+    the arrays they are read-only; a lone fit's are its own.  A row's search
+    does not depend on the other rows searched with it, so every member's
+    arrays are the bytes its own fit computes."""
     lead = members[0]
     k = h.shape[1]
     if lead.equalizer == "zf":
@@ -665,12 +666,19 @@ def _fit_family(members, h, noise) -> None:
     q[degenerate] = 0
     alpha = np.ones(shape)
     targets = targets.reshape(*shape, -1)
-    comb, cost, parity = _combined(tau, q, alpha, degenerate, targets, hplus, effective)
     fitted = {
         "tau_": tau, "q_": q, "exact_": exact.reshape(shape), "nodes_": nodes.reshape(shape),
-        "degenerate_": degenerate, "alpha_": alpha, "comb_": comb, "cost_": cost,
-        "parity_": parity,
+        "degenerate_": degenerate, "alpha_": alpha,
     }
+    # the alpha = 1 assembly covers the stages a member without an alpha
+    # step reads; scaled-alpha reads the last stage alone, so they are a
+    # prefix of the union
+    read = {n for det in members if det.variant != "scaled-alpha" for n in det._stages(nbits)}
+    if read:
+        prefix = slice(len(read))
+        assembled = _combined(
+            *(a[prefix] for a in (tau, q, alpha, degenerate, targets)), hplus, effective
+        )
     for det in members:
         det.hplus_, det.reduction_ = hplus, reduction
         own = det._stages(nbits)
@@ -680,9 +688,11 @@ def _fit_family(members, h, noise) -> None:
             setattr(det, name, a[at])
         if det.variant == "scaled-alpha":
             det._scale_alpha(targets[at], effective)
+        else:
+            det.comb_, det.cost_, det.parity_ = (a[at] for a in assembled)
     if len(members) > 1:
         for det in members:
-            for name in ("hplus_", *fitted):
+            for name in ("hplus_", *fitted, "comb_", "cost_", "parity_"):
                 getattr(det, name).flags.writeable = False
 
 

@@ -6,28 +6,30 @@ routes are provided: exact depth-first sphere enumeration with radius
 shrinking, an LLL-reduction-based approximation, and an exhaustive box
 search used as the test oracle.
 
-The two loops a fit spends its time in, the enumeration in _se_enumerate
-and the swap loop of lll_reduce, run on Python lists of floats and ints:
-each m[k] or mu[k, j] read of a numpy array pays numpy's per-scalar
-overhead, several times the arithmetic it feeds.  Each step is the
-elementwise IEEE operation the equivalent array expression performs, in the
-same order, and round() rounds half to even like np.round, so the outputs
-are the bytes of the array formulation (tests/test_intsearch.py pins them).
-The first Gram-Schmidt pass of lll_reduce takes each orthogonal column's
-squared norm once rather than once per coefficient, by the same dot
-product, so it too keeps its bytes.  The enumeration shares its descents'
-products across the rows of a block and scores the leaf level inline, by
-the same IEEE operations (see _se_enumerate).  It serves the even-integer
-searches only: exact ML detection searches its bounded symbol box in
-detect (_box_search, _box_dfs).
+The two loops a fit spends its time in stay off numpy scalars, whose
+per-read overhead is several times the arithmetic it feeds.  The swap loop
+of lll_reduce runs on Python lists of floats and ints.  The enumeration
+runs in a kernel generated once per dimension K (_se_source): one while
+loop per level, nested, over local variables, in groups of at most
+_GROUP_LEVELS loops per function.  Each step is the elementwise IEEE
+operation the equivalent array expression performs, in the same order, and
+round() rounds half to even like np.round, so the outputs are the bytes of
+the array formulation (tests/test_intsearch.py pins them).  The first
+Gram-Schmidt pass of lll_reduce takes each orthogonal column's squared norm
+once rather than once per coefficient, by the same dot product, so it too
+keeps its bytes.  The enumeration shares its descents' products across the
+rows of a block and scores the leaf level inline, by the same IEEE
+operations.  It serves the even-integer searches only: exact ML detection
+searches its bounded symbol box in detect (_box_search, _box_dfs).
 
 A fit searches K targets (one per layer and stage) on one basis, so the row
 search _solve_sd_rows takes a block of targets: the warm starts and every
 candidate cost are computed for all rows at once, each row by the BLAS call
 one target alone makes (see rowwise), and only the enumeration runs row by
-row.  Each solver answers a block of rows (_solve_sd_rows, _lll_rows, and
-_brute_rows, which builds its box once for all rows); solve_sd, solve_lll
-and solve_brute are their one-row calls.
+row, through one binding of the kernel to the block's triangle.  Each
+solver answers a block of rows (_solve_sd_rows, _lll_rows, and _brute_rows,
+which builds its box once for all rows); solve_sd, solve_lll and
+solve_brute are their one-row calls.
 
 Fits of one channel at several QAM orders and variants reduce the same
 basis, so _reduce keeps the last reduction, keyed by a copy of its input's
@@ -41,8 +43,7 @@ family fit (detect._fit_family).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from operator import sub
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -296,11 +297,11 @@ def _solve_sd_rows(targets, B, budget, cache):
     cost[:, 1] = _cost(targets, B, q[:, 1])
 
     cols, diag = _triangle(r_mat)
-    products = [{} for _ in cols]  # shared by the rows, see _se_enumerate
+    # one binding, whose product tables the rows share (see _se_source)
+    search = _se_kernel(K)(cols, diag, [{} for _ in cols])
     best = cost[:, :2].min(axis=1).tolist()
     found = [
-        _se_enumerate(v_i, cols, diag, best_i, c0_i, budget, products)
-        for v_i, best_i, c0_i in zip(v, best, c0.tolist())
+        search(v_i, best_i, c0_i, budget) for v_i, best_i, c0_i in zip(v, best, c0.tolist())
     ]
     w, nodes, exact = zip(*found)
     w = np.array(w, dtype=np.int64)
@@ -332,86 +333,154 @@ def _first(rows) -> IlsSolution:
 
 
 def _triangle(r):
-    """The triangle r as the lists _se_enumerate reads, its columns above
-    the diagonal and its diagonal; built once per block of searches, since
-    a view of a read-only r costs more to make."""
+    """The triangle r as the lists the enumeration kernel binds, its columns
+    above the diagonal and its diagonal; built once per block of searches,
+    since a view of a read-only r costs more to make."""
     return [r[:k, k].tolist() for k in range(r.shape[1])], np.diag(r).tolist()
 
 
 def _se_enumerate(v, cols, diag, best_cost, c0, budget, products):
-    """Depth-first enumeration core on the triangle R given as its columns
-    above the diagonal and its diagonal; returns (best coeffs, nodes,
-    exact), the coeffs all zero when no point beats best_cost.
+    """Depth-first enumeration on the triangle R given as its columns above
+    the diagonal and its diagonal; returns (best coeffs, nodes, exact), the
+    coeffs all zero when no point beats best_cost.  The one-row call of the
+    kernel _se_kernel(v.size) binds (see _se_source): products is the list
+    of per-level tables it shares with the other rows of its block."""
+    return _se_kernel(v.size)(cols, diag, products)(v, best_cost, c0, budget)
 
-    partial[i] is v minus the contributions of levels > i; only its first
-    i + 1 entries are ever read, so a descent to level k - 1 builds just k,
-    subtracting products[k][m[k]], the row m[k] * cols[k] that the rows of
-    a block share and build on first use.  Level 0 is scored inline: its
-    siblings in zig-zag order until the first that fails, each one node.
-    The products and differences are a per-descent rebuild's, so the
-    coeffs, nodes and exact flag are too.
+
+# CPython refuses a function with more than 20 statically nested blocks
+# (CO_MAXBLOCKS), so a generated function nests at most this many loops
+_GROUP_LEVELS = 16
+
+
+@lru_cache
+def _se_kernel(k: int):
+    """bind(cols, diag, products) of dimension k, compiled from
+    _se_source(k) on first use and kept for the last 128 dimensions; bind
+    returns search(v, best_cost, c0, budget), the enumeration of one row."""
+    namespace = {}
+    exec(compile(_se_source(k), f"<se_kernel {k}>", "exec"), namespace)
+    return namespace["bind"]
+
+
+def _se_source(k: int) -> str:
+    """The source of the Schnorr-Euchner enumeration for dimension k.
+
+    Level j keeps its state in locals: m<j>, its zig-zag step s<j>, its
+    distance n<j> and its partial sums p<j>_0 .. p<j>_<j>, v minus the
+    contributions of the levels above j.  Each level is one while loop
+    nested in the loop of the level above, so a failure breaks back to the
+    parent's next sibling.  A descent from level j subtracts the row
+    T<j>[m<j>], float(m<j>) * C<j> built on first use in a table that the
+    rows of a block share, from p<j>_0 .. p<j>_<j-1>, entry by entry.  Level
+    0 is scored in the loop nested in level 1, its siblings in zig-zag
+    order until the first that fails, each one node.
+
+    Levels go in groups of at most _GROUP_LEVELS loops from level 0 up, one
+    function each, the top group being search itself.  A descent out of a
+    group's lowest level calls the group below with the new partial sums,
+    the distance, the best cost and point, the node count and the m values
+    above it, and takes back the updated values and whether the search is
+    still exact.  The multiplies, subtractions and comparisons are a
+    per-descent rebuild's, in its order, so every point, node count and
+    exact flag is too (the rebuild is tests/util_exact.se_enumerate_reference).
+    Only level indices and fixed names go into the text.
     """
-    K = v.size
-    best_w = [0] * K
-    m = [0] * K
-    step = [0] * K
-    dist = [0.0] * (K + 1)
-    partial = [None] * K
-    nodes = 0
-    k = K - 1
-    partial[k] = v.tolist()
-    center = partial[k][k] / diag[k]
-    m[k] = round(center)
-    step[k] = 1 if center >= m[k] else -1
-    exact = True
-    while True:
-        nodes += 1
-        if nodes > budget:
-            exact = False
-            break
-        d = partial[k][k] - diag[k] * m[k]
-        nd = dist[k + 1] + d * d
-        if nd + c0 < best_cost:
-            if k > 1:
-                dist[k] = nd
-                row = products[k].get(m[k])
-                if row is None:  # float(m[k]) is exact, float * float fast
-                    row = products[k][m[k]] = [float(m[k]) * r for r in cols[k]]
-                partial[k - 1] = list(map(sub, partial[k], row))
-                k -= 1
-                center = partial[k][k] / diag[k]
-                m[k] = round(center)
-                step[k] = 1 if center >= m[k] else -1
-                continue
-            if k:  # the leaf level, inline
-                p = partial[1][0] - float(m[1]) * cols[1][0]
-                center = p / diag[0]
-                m0 = round(center)
-                s = 1 if center >= m0 else -1
-                while (nodes := nodes + 1) <= budget:
-                    d = p - diag[0] * m0
-                    leaf = nd + d * d + c0
-                    if not leaf < best_cost:
-                        break
-                    best_cost = leaf
-                    m[0] = m0
-                    best_w = m.copy()
-                    m0 += s
-                    s = -s - (1 if s > 0 else -1)
-                else:  # the budget ran out on a leaf: end the search
-                    exact = False
-                    break
-            else:  # K = 1: the top level is the leaf
-                best_cost = nd + c0
-                best_w = m.copy()
-        elif k == K - 1:
-            break
-        else:
-            k += 1
-        # the next sibling on level k in zig-zag order
-        m[k] += step[k]
-        step[k] = -step[k] - (1 if step[k] > 0 else -1)
-    return best_w, nodes, exact
+    out = ["def bind(cols, diag, products):", f"    {_targets('g', range(k))} = diag"]
+    if k > 1:
+        out.append(f"    {_targets('C', range(1, k))} = cols[1:]")
+        out.append(f"    {_targets('T', range(1, k))} = products[1:]")
+    for lo in range(0, k, _GROUP_LEVELS):
+        out += _se_group(lo, min(lo + _GROUP_LEVELS, k) - 1, k)
+    out.append("    return search")
+    return "\n".join(out) + "\n"
+
+
+def _targets(prefix: str, indices) -> str:
+    """prefix<i> for every index i, as the targets of an unpacking."""
+    names = [f"{prefix}{i}" for i in indices]
+    return ", ".join(names) + ("," if len(names) == 1 else "")
+
+
+def _se_group(lo: int, hi: int, k: int) -> list[str]:
+    """The lines, indented into bind, of the function that enumerates
+    levels hi down to lo of a dimension-k search."""
+    if hi == k - 1:
+        out = [
+            "    def search(v, best_cost, c0, budget):",
+            f"        {_targets(f'p{hi}_', range(hi + 1))} = v.tolist()",
+            f"        best_w = [0] * {k}",
+            "        nodes = 0",
+        ]
+        done, high, n_top = "return best_w, nodes, {}", "", "0.0"
+    else:
+        out = [
+            f"    def group{lo}(p, n{hi + 1}, best_cost, best_w, nodes, c0, budget, high):",
+            f"        {_targets(f'p{hi}_', range(hi + 1))} = p",
+        ]
+        done, high, n_top = "return best_cost, best_w, nodes, {}", ", *high", f"n{hi + 1}"
+
+    def level(j, pad):
+        n_above = n_top if j == hi else f"n{j + 1}"
+        lines = [
+            f"x = p{j}_{j} / g{j}",
+            f"m{j} = round(x)",
+            f"s{j} = 1 if x >= m{j} else -1",
+        ]
+        if j == 0:
+            ms = ", ".join(f"m{i}" for i in range(hi + 1))
+            out.extend(pad + line for line in lines + [
+                "while (nodes := nodes + 1) <= budget:",
+                "    d = p0_0 - g0 * m0",
+                f"    leaf = {n_above} + d * d + c0",
+                "    if not leaf < best_cost:",
+                "        break",
+                "    best_cost = leaf",
+                f"    best_w = [{ms}{high}]",
+                "    m0 += s0",
+                "    s0 = -s0 - 1 if s0 > 0 else 1 - s0",
+                "else:",
+                "    " + done.format(False),
+            ])
+            return
+        lines += [
+            "while True:",
+            "    nodes += 1",
+            "    if nodes > budget:",
+            "        " + done.format(False),
+            f"    d = p{j}_{j} - g{j} * m{j}",
+            f"    n{j} = {n_above} + d * d",
+            f"    if not n{j} + c0 < best_cost:",
+            "        break",
+            f"    row = T{j}.get(m{j})",
+            "    if row is None:",
+            f"        row = T{j}[m{j}] = [float(m{j}) * r for r in C{j}]",
+            f"    {_targets('r', range(j))} = row",
+        ]
+        out.extend(pad + line for line in lines)
+        inner = pad + "    "
+        if j > lo:
+            out.extend(f"{inner}p{j - 1}_{i} = p{j}_{i} - r{i}" for i in range(j))
+            level(j - 1, inner)
+        else:  # the group below takes level j - 1
+            sums = ", ".join(f"p{j}_{i} - r{i}" for i in range(j))
+            ms = ", ".join(f"m{i}" for i in range(lo, hi + 1))
+            out.extend(inner + line for line in (
+                f"best_cost, best_w, nodes, exact = group{lo - _GROUP_LEVELS}(",
+                f"    [{sums}],",
+                f"    n{j}, best_cost, best_w, nodes, c0, budget, ({ms}{high},),",
+                ")",
+                "if not exact:",
+                "    " + done.format(False),
+            ))
+        out.extend(inner + line for line in (
+            f"m{j} += s{j}",
+            f"s{j} = -s{j} - 1 if s{j} > 0 else 1 - s{j}",
+        ))
+
+    level(hi, "        ")
+    out.append("        " + done.format(True))
+    return out
 
 
 def solve_brute(problem: IlsProblem, bound: int = 8) -> IlsSolution:

@@ -1051,11 +1051,44 @@ class TestFitMemo:
     def test_variants_share_search_rows(self, monkeypatch):
         # at 16-QAM plain searches tau = 0.5, bitwise tau = 1 and 0.5 and
         # feedback tau = 1: 24 rows on a kc = 3 channel, 12 of them distinct,
-        # and one family fit of the three searches those 12 once
-        calls = count_calls(monkeypatch, intsearch, ("_se_enumerate",))
+        # and one family fit of the three searches those 12 once, through
+        # the one kernel binding its row search makes
+        bindings, searches = [], []
+        kernel = intsearch._se_kernel
+
+        def counted_kernel(k):
+            def bind(*tables):
+                search = kernel(k)(*tables)
+                bindings.append(k)
+
+                def counted(*row):
+                    searches.append(k)
+                    return search(*row)
+
+                return counted
+
+            return bind
+
+        monkeypatch.setattr(intsearch, "_se_kernel", counted_kernel)
         h = embed_complex(generate_channel(np.random.default_rng(29), 3))
         fit_family([MZFDetector(16, v) for v in ("plain", "bitwise", "feedback")], h)
-        assert calls == {"_se_enumerate": 12}
+        assert (bindings, searches) == ([6], [6] * 12)
+
+    def test_lone_scaled_alpha_fit_assembles_once(self, monkeypatch):
+        # its alpha step assembles the stage it reads; the alpha = 1
+        # assembly is only for members without that step
+        calls = count_calls(monkeypatch, detect, ("_combined",))
+        h = embed_complex(generate_channel(np.random.default_rng(35), 3))
+        MZFDetector(16, "scaled-alpha").fit(h)
+        assert calls == {"_combined": 1}
+        # with feedback, which reads the first of the two stages, the alpha
+        # = 1 assembly covers that stage alone
+        family = fit_family([MZFDetector(16, v) for v in ("scaled-alpha", "feedback")], h)
+        assert calls == {"_combined": 3}
+        for det in family:
+            alone = MZFDetector(16, det.variant).fit(h)
+            for name in FITTED_ARRAYS:
+                assert getattr(det, name).tobytes() == getattr(alone, name).tobytes(), name
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_family_members_equal_their_lone_fits(self, solver):

@@ -1,5 +1,6 @@
 """Even-integer closest-vector solver tests against the box oracle."""
 
+import ast
 import hashlib
 import warnings
 
@@ -190,8 +191,25 @@ def random_triangle(rng, k):
     return intsearch._triangle(r)
 
 
+# the kernel nests its levels in groups of _GROUP_LEVELS loops, so these
+# dimensions reach one, two and three groups, each boundary from both sides
+GROUP = intsearch._GROUP_LEVELS
+KERNEL_DIMS = sorted(
+    {*range(1, 21), 21, 24, 32, 40, *(g + d for g in (GROUP, 2 * GROUP) for d in (-1, 0, 1))}
+)
+
+
+def loop_depth(node) -> int:
+    """The deepest nesting of loops in the body of node, not counting the
+    functions it defines."""
+    inner = [
+        loop_depth(c) for c in ast.iter_child_nodes(node) if not isinstance(c, ast.FunctionDef)
+    ]
+    return max(inner, default=0) + isinstance(node, (ast.While, ast.For))
+
+
 class TestEnumerationKernel:
-    @pytest.mark.parametrize("k", range(1, 21))
+    @pytest.mark.parametrize("k", KERNEL_DIMS)
     def test_matches_the_reference(self, k):
         # several targets and budgets on one triangle share one table set,
         # visited in shuffled order; budgets 1-7 run out inside the leaf
@@ -209,6 +227,18 @@ class TestEnumerationKernel:
             v, start, c0, budget = cases[i]
             got = intsearch._se_enumerate(v, cols, diag, start, c0, budget, products)
             assert got == se_enumerate_reference(v, cols, diag, start, c0, budget)
+
+    @pytest.mark.parametrize("k", [1, GROUP, GROUP + 1, 40])
+    def test_groups_stay_inside_the_nesting_limit(self, k):
+        # CPython compiles no function with more than 20 statically nested
+        # blocks; every generated function nests at most GROUP loops, one
+        # per level and the leaf loop, and the top one is search
+        (bind,) = ast.parse(intsearch._se_source(k)).body
+        functions = [f for f in bind.body if isinstance(f, ast.FunctionDef)]
+        depths = [loop_depth(f) for f in functions]
+        assert functions[-1].name == "search"
+        assert sum(depths) == k and max(depths) <= GROUP
+        assert len(functions) == -(-k // GROUP)
 
     def test_near_tied_leaves(self):
         # level-0 centres a rounding error from a half integer: in some the
@@ -245,7 +275,7 @@ class TestRowSearch:
     # once; each row must still give the bytes of its own one-row search,
     # also where budget 50 cuts the enumeration short
 
-    @pytest.mark.parametrize("k", [6, 12, 24])
+    @pytest.mark.parametrize("k", [6, 12, 24, 32])
     @pytest.mark.parametrize("budget", [50, 10**6])
     @pytest.mark.parametrize("cached", [True, False])
     def test_sd_rows_equal_one_row_searches(self, k, budget, cached):
